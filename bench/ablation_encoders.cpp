@@ -11,7 +11,7 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "ordering/encoders.h"
-#include "ordering/ordering.h"
+#include "ordering/strategy.h"
 
 using namespace nocbt;
 
@@ -33,8 +33,8 @@ void run_format(DataFormat format, const std::vector<float>& weights) {
   const auto baseline_flits = analysis::flitize(tiled, format, kValuesPerFlit);
   const auto baseline_bt = analysis::stream_bt(baseline_flits).total_bt;
 
-  const auto ordered = ordering::order_stream_descending(
-      tiled, format, kWindowValues);
+  const auto ordered = ordering::order_stream_with(
+      ordering::get_strategy("popcount"), tiled, format, kWindowValues);
   const auto ordered_bt =
       analysis::pattern_stream_bt(ordered, format, kValuesPerFlit).total_bt;
 

@@ -18,7 +18,7 @@
 #include "bench_util.h"
 #include "common/float_bits.h"
 #include "common/table.h"
-#include "ordering/ordering.h"
+#include "ordering/strategy.h"
 
 using namespace nocbt;
 
@@ -58,7 +58,8 @@ int main() {
     const auto baseline =
         analysis::pattern_stream_bt(tiled, DataFormat::kFloat32, kValuesPerFlit);
     const auto ordered = analysis::pattern_stream_bt(
-        ordering::order_stream_descending(tiled, DataFormat::kFloat32, kWindow),
+        ordering::order_stream_with(ordering::get_strategy("popcount"), tiled,
+                                    DataFormat::kFloat32, kWindow),
         DataFormat::kFloat32, kValuesPerFlit);
     table.add_row({bits == 23 ? "23 (full fp32)" : std::to_string(bits),
                    format_double(baseline.bt_per_flit(), 2),

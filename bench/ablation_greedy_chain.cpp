@@ -9,8 +9,7 @@
 #include "analysis/stream_experiment.h"
 #include "bench_util.h"
 #include "common/table.h"
-#include "ordering/greedy_chain.h"
-#include "ordering/ordering.h"
+#include "ordering/strategy.h"
 
 using namespace nocbt;
 
@@ -35,11 +34,13 @@ int main() {
       const auto base =
           analysis::pattern_stream_bt(tiled, format, kValuesPerFlit);
       const auto sorted = analysis::pattern_stream_bt(
-          ordering::order_stream_descending(tiled, format, window), format,
-          kValuesPerFlit);
+          ordering::order_stream_with(ordering::get_strategy("popcount"),
+                                      tiled, format, window),
+          format, kValuesPerFlit);
       const auto greedy = analysis::pattern_stream_bt(
-          ordering::chain_stream_greedy(tiled, format, window), format,
-          kValuesPerFlit);
+          ordering::order_stream_with(ordering::get_strategy("chain"), tiled,
+                                      format, window),
+          format, kValuesPerFlit);
       auto reduction = [&](const analysis::StreamBt& s) {
         return format_percent(1.0 - s.bt_per_flit() / base.bt_per_flit());
       };

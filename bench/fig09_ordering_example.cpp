@@ -9,7 +9,7 @@
 #include "analysis/bt_count.h"
 #include "analysis/stream_experiment.h"
 #include "bench_util.h"
-#include "ordering/ordering.h"
+#include "ordering/strategy.h"
 
 using namespace nocbt;
 
@@ -46,8 +46,10 @@ int main() {
   const auto stream = analysis::make_patterns(weights, DataFormat::kFloat32);
   const std::span<const std::uint32_t> window(stream.patterns.data(), kWindow);
 
-  const auto ordered =
-      ordering::order_stream_descending(window, DataFormat::kFloat32, kWindow);
+  const ordering::OrderingStrategy& popcount =
+      ordering::get_strategy("popcount");
+  const auto ordered = ordering::order_stream_with(
+      popcount, window, DataFormat::kFloat32, kWindow);
 
   print_grid("Before ordering ('1'-bit count per weight):", window,
              kValuesPerFlit, kFlits);
@@ -67,8 +69,8 @@ int main() {
 
   const auto fx = analysis::make_patterns(weights, DataFormat::kFixed8);
   const std::span<const std::uint32_t> fx_window(fx.patterns.data(), kWindow);
-  const auto fx_ordered =
-      ordering::order_stream_descending(fx_window, DataFormat::kFixed8, kWindow);
+  const auto fx_ordered = ordering::order_stream_with(
+      popcount, fx_window, DataFormat::kFixed8, kWindow);
   const auto fx_base =
       analysis::pattern_stream_bt(fx_window, DataFormat::kFixed8, kValuesPerFlit);
   const auto fx_ord =

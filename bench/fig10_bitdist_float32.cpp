@@ -12,7 +12,7 @@
 #include "analysis/stream_experiment.h"
 #include "bench_util.h"
 #include "common/table.h"
-#include "ordering/ordering.h"
+#include "ordering/strategy.h"
 
 using namespace nocbt;
 
@@ -30,8 +30,8 @@ void print_bit_rows(const char* label, const std::vector<double>& p) {
 void analyze(const char* name, const std::vector<float>& weights) {
   const auto stream = analysis::make_patterns(weights, DataFormat::kFloat32);
   const auto tiled = analysis::tile_patterns(stream.patterns, kWindow * 2000);
-  const auto ordered = ordering::order_stream_descending(
-      tiled, DataFormat::kFloat32, kWindow);
+  const auto ordered = ordering::order_stream_with(
+      ordering::get_strategy("popcount"), tiled, DataFormat::kFloat32, kWindow);
 
   std::printf("\n--- %s weights ---\n", name);
   std::printf("bit position (MSB=sign, then 8-bit exponent, 23-bit mantissa)\n");

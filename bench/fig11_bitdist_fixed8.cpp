@@ -7,7 +7,7 @@
 #include "analysis/bit_stats.h"
 #include "analysis/stream_experiment.h"
 #include "bench_util.h"
-#include "ordering/ordering.h"
+#include "ordering/strategy.h"
 
 using namespace nocbt;
 
@@ -25,8 +25,8 @@ void print_bit_rows(const char* label, const std::vector<double>& p) {
 void analyze(const char* name, const std::vector<float>& weights) {
   const auto stream = analysis::make_patterns(weights, DataFormat::kFixed8);
   const auto tiled = analysis::tile_patterns(stream.patterns, kWindow * 2000);
-  const auto ordered =
-      ordering::order_stream_descending(tiled, DataFormat::kFixed8, kWindow);
+  const auto ordered = ordering::order_stream_with(
+      ordering::get_strategy("popcount"), tiled, DataFormat::kFixed8, kWindow);
 
   std::printf("\n--- %s weights (8-bit two's complement) ---\n", name);
   std::printf("%-26s", "");

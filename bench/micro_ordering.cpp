@@ -26,7 +26,6 @@
 #include "common/rng.h"
 #include "ordering/bt_kernel_backend.h"
 #include "ordering/bt_kernels.h"
-#include "ordering/greedy_chain.h"
 #include "ordering/ordering.h"
 #include "ordering/strategy.h"
 
@@ -56,22 +55,13 @@ void BM_PopcountDescendingOrder(benchmark::State& state) {
 }
 BENCHMARK(BM_PopcountDescendingOrder)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_GreedyMinXorChain(benchmark::State& state) {
-  const auto patterns =
-      random_patterns(static_cast<std::size_t>(state.range(0)), 32, 2);
-  for (auto _ : state) {
-    auto perm = ordering::greedy_min_xor_chain(patterns, DataFormat::kFloat32);
-    benchmark::DoNotOptimize(perm);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GreedyMinXorChain)->Arg(16)->Arg(64)->Arg(256);
-
 void BM_OrderStream(benchmark::State& state) {
   const auto patterns = random_patterns(1 << 16, 8, 3);
+  const ordering::OrderingStrategy& popcount =
+      ordering::get_strategy("popcount");
   for (auto _ : state) {
-    auto ordered = ordering::order_stream_descending(
-        patterns, DataFormat::kFixed8,
+    auto ordered = ordering::order_stream_with(
+        popcount, patterns, DataFormat::kFixed8,
         static_cast<std::size_t>(state.range(0)));
     benchmark::DoNotOptimize(ordered);
   }

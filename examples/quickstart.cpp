@@ -14,7 +14,7 @@
 #include "analysis/stream_experiment.h"
 #include "common/config.h"
 #include "common/rng.h"
-#include "ordering/ordering.h"
+#include "ordering/strategy.h"
 
 using namespace nocbt;
 
@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
 
   // The paper's transformation: within each window (one packet), reorder
   // values by descending '1'-bit count.
-  const auto ordered =
-      ordering::order_stream_descending(stream.patterns, format, window);
+  const auto ordered = ordering::order_stream_with(
+      ordering::get_strategy("popcount"), stream.patterns, format, window);
 
   // Count bit transitions between consecutive flits, before and after.
   const auto baseline =

@@ -35,32 +35,19 @@ BuiltPacket build_task_packet(const NeuronTask& task,
   out.meta.mode = mode;
   out.meta.index_embedded = false;
 
-  if (!ordering::mode_is_baseline(mode)) {
-    // The mode's registered strategy supplies the permutation; O1 and O2
-    // resolve to the paper's popcount sort, the other modes to their own
-    // strategies (chain, bucket, hybrid, ...).
-    const ordering::OrderingStrategy& strategy = ordering::mode_strategy(mode);
-    if (ordering::mode_is_separated(mode)) {
-      const auto weight_perm = strategy.order(
-          std::span<const std::uint32_t>(weight_patterns), format);
-      const auto input_perm = strategy.order(
-          std::span<const std::uint32_t>(input_patterns), format);
-      out.meta.pair_index =
-          ordering::separated_pairing_index(weight_perm, input_perm);
-      weight_patterns = ordering::apply_permutation(
-          std::span<const std::uint32_t>(weight_patterns), weight_perm);
-      input_patterns = ordering::apply_permutation(
-          std::span<const std::uint32_t>(input_patterns), input_perm);
-    } else {
-      // Affiliated pairing: pairs move together, keyed on the weights.
-      const auto perm = strategy.order(
-          std::span<const std::uint32_t>(weight_patterns), format);
-      weight_patterns = ordering::apply_permutation(
-          std::span<const std::uint32_t>(weight_patterns), perm);
-      input_patterns = ordering::apply_permutation(
-          std::span<const std::uint32_t>(input_patterns), perm);
-    }
-  }
+  // The mode's registered strategy and pairing rule supply both
+  // permutations; O2 additionally ships the index that re-pairs them.
+  const ordering::PairOrder order = ordering::order_pairs(
+      mode, weight_patterns, input_patterns, format);
+  if (ordering::mode_is_separated(mode))
+    out.meta.pair_index =
+        ordering::separated_pairing_index(order.weights, order.inputs);
+  weight_patterns = ordering::apply_permutation(
+      std::span<const std::uint32_t>(weight_patterns),
+      std::span<const std::uint32_t>(order.weights));
+  input_patterns = ordering::apply_permutation(
+      std::span<const std::uint32_t>(input_patterns),
+      std::span<const std::uint32_t>(order.inputs));
 
   out.payloads =
       pack_half_half(input_patterns, weight_patterns, bias_pattern, layout);

@@ -4,7 +4,7 @@
 
 #include "analysis/bt_count.h"
 #include "common/float_bits.h"
-#include "ordering/ordering.h"
+#include "ordering/strategy.h"
 
 namespace nocbt::analysis {
 
@@ -49,8 +49,8 @@ StreamExperimentResult run_stream_experiment(
   const PatternStream source = make_patterns(values, config.format,
                                              config.fixed_bits);
   const auto stream = tile_patterns(source.patterns, total_values);
-  const auto ordered = ordering::order_stream_descending(
-      stream, config.format, window);
+  const auto ordered = ordering::order_stream_with(
+      ordering::get_strategy("popcount"), stream, config.format, window);
 
   const StreamBt baseline =
       pattern_stream_bt(stream, config.format, config.values_per_flit);

@@ -8,9 +8,8 @@
 // counts the transitions" into a registered interface mirroring the
 // OrderingStrategy / PlacementPolicy / Optimizer registries:
 //
-//   scalar   the PR-3 word-packed uint64 kernels, one window per call
-//   batch64  portable batched tier: zero-alloc packed-stream reuse plus a
-//            4-way-unrolled multi-word XOR+popcount over whole windows
+//   scalar   word-packed uint64 kernels, one window per call; the
+//            portable floor every host runs
 //   avx2     vpshufb-LUT popcount over 256-bit lanes (AVX-512 vpopcntq
 //            inner loops where the CPU has them), registered only when the
 //            TU could be compiled and available only when CPUID agrees

@@ -68,9 +68,10 @@ const std::uint8_t* load_scratch(std::span<const std::uint32_t> patterns,
     std::uint8_t* out = buf.data();
     for (std::size_t i = 0; i < patterns.size(); ++i)
       out[i] = static_cast<std::uint8_t>(patterns[i]);
-  } else {
+  } else if (bytes != 0) {
     // 32-bit values carry all their bits: the byte stream is the values'
-    // own little-endian bytes.
+    // own little-endian bytes. (An empty span may hold a null pointer,
+    // which memcpy must not see even for zero bytes.)
     std::memcpy(buf.data(), patterns.data(), bytes);
   }
   return buf.data();

@@ -1,7 +1,5 @@
 #include "ordering/ordering.h"
 
-#include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace nocbt::ordering {
@@ -38,8 +36,8 @@ std::string_view mode_strategy_name(OrderingMode mode) noexcept {
     case OrderingMode::kAffiliated: return "popcount";
     case OrderingMode::kSeparated: return "popcount";
     case OrderingMode::kChain: return "chain";
-    case OrderingMode::kHdChain: return "hdchain";
-    case OrderingMode::kBucket: return "bucket";
+    case OrderingMode::kHdChain: return "chain";
+    case OrderingMode::kBucket: return "popcount";
     case OrderingMode::kHybrid: return "hybrid";
     case OrderingMode::kTwoFlit: return "twoflit";
   }
@@ -51,7 +49,7 @@ std::string short_mode_name(OrderingMode mode) {
     case OrderingMode::kBaseline: return "O0";
     case OrderingMode::kAffiliated: return "O1";
     case OrderingMode::kSeparated: return "O2";
-    default: return std::string(mode_strategy_name(mode));
+    default: return to_string(mode);
   }
 }
 
@@ -84,13 +82,23 @@ const std::vector<OrderingMode>& all_ordering_modes() {
 
 std::vector<std::uint32_t> popcount_descending_order(
     std::span<const std::uint32_t> patterns, DataFormat format) {
+  // Counting sort on the popcount key: count each bucket, turn the counts
+  // into descending start offsets (bucket `bits` first, bucket 0 last),
+  // then place indices in arrival order, which keeps ties stable.
+  const unsigned bits = value_bits(format);
+  std::uint32_t offset[33] = {};
+  for (const std::uint32_t p : patterns)
+    ++offset[static_cast<unsigned>(pattern_popcount(p, format))];
+  std::uint32_t running = 0;
+  for (unsigned c = bits + 1; c-- > 0;) {
+    const std::uint32_t count = offset[c];
+    offset[c] = running;
+    running += count;
+  }
   std::vector<std::uint32_t> perm(patterns.size());
-  std::iota(perm.begin(), perm.end(), 0u);
-  std::stable_sort(perm.begin(), perm.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return pattern_popcount(patterns[a], format) >
-                            pattern_popcount(patterns[b], format);
-                   });
+  for (std::size_t i = 0; i < patterns.size(); ++i)
+    perm[offset[pattern_popcount(patterns[i], format)]++] =
+        static_cast<std::uint32_t>(i);
   return perm;
 }
 
@@ -122,24 +130,6 @@ bool is_permutation(std::span<const std::uint32_t> perm, std::size_t n) {
     seen[idx] = true;
   }
   return true;
-}
-
-std::vector<std::uint32_t> order_stream_descending(
-    std::span<const std::uint32_t> patterns, DataFormat format,
-    std::size_t window_values) {
-  if (window_values == 0)
-    throw std::invalid_argument("order_stream_descending: window_values == 0");
-  std::vector<std::uint32_t> out;
-  out.reserve(patterns.size());
-  for (std::size_t start = 0; start < patterns.size();
-       start += window_values) {
-    const std::size_t len =
-        std::min(window_values, patterns.size() - start);
-    const auto window = patterns.subspan(start, len);
-    const auto perm = popcount_descending_order(window, format);
-    for (const std::uint32_t idx : perm) out.push_back(window[idx]);
-  }
-  return out;
 }
 
 }  // namespace nocbt::ordering

@@ -30,9 +30,9 @@ enum class OrderingMode : std::uint8_t {
   kBaseline,    // O0: natural task order
   kAffiliated,  // O1: popcount sort on weights, pairs move together
   kSeparated,   // O2: popcount sort per stream + pairing index
-  kChain,       // affiliated pairing, greedy min-XOR chain (naive reference)
-  kHdChain,     // affiliated pairing, matrix-accelerated HD chaining
-  kBucket,      // affiliated pairing, '1'-count bucket sort (Han et al.)
+  kChain,       // affiliated pairing, greedy min-Hamming-distance chain
+  kHdChain,     // historical alias of kChain (same strategy)
+  kBucket,      // historical alias of kAffiliated (same strategy)
   kHybrid,      // affiliated pairing, per-window best-of candidate pick
   kTwoFlit,     // affiliated pairing, two-flit interleave of SIII
 };
@@ -53,7 +53,9 @@ enum class OrderingMode : std::uint8_t {
 }
 
 /// Name of the registered OrderingStrategy a mode reorders with ("arrival"
-/// for O0, "popcount" for O1/O2, the strategy's own name otherwise).
+/// for O0, "popcount" for O1/O2/bucket, "chain" for chain/hdchain, the
+/// strategy's own name otherwise). Modes that once named a second
+/// implementation of the same permutation resolve to the one strategy.
 [[nodiscard]] std::string_view mode_strategy_name(OrderingMode mode) noexcept;
 
 /// Compact mode key used in scenario names and sweep arguments: "O0", "O1",
@@ -72,7 +74,8 @@ enum class OrderingMode : std::uint8_t {
 
 /// Permutation p such that patterns[p[0]], patterns[p[1]], ... have
 /// non-increasing popcount. Stable: equal-popcount values keep their
-/// original relative order, making the result deterministic.
+/// original relative order, making the result deterministic. Computed as
+/// a '1'-count counting sort (one bucket per popcount, Han et al.).
 [[nodiscard]] std::vector<std::uint32_t> popcount_descending_order(
     std::span<const std::uint32_t> patterns, DataFormat format);
 
@@ -104,13 +107,5 @@ template <typename T>
 /// packet decoder to validate sideband metadata).
 [[nodiscard]] bool is_permutation(std::span<const std::uint32_t> perm,
                                   std::size_t n);
-
-/// Reorder a whole value stream window by window: within each consecutive
-/// window of `window_values` values, sort descending by popcount. This is
-/// the no-NoC experiment's transformation (§V-A): a window models one
-/// packet whose flits traverse a link back to back.
-[[nodiscard]] std::vector<std::uint32_t> order_stream_descending(
-    std::span<const std::uint32_t> patterns, DataFormat format,
-    std::size_t window_values);
 
 }  // namespace nocbt::ordering

@@ -8,7 +8,6 @@
 
 #include "common/bitops.h"
 #include "ordering/bt_kernels.h"
-#include "ordering/greedy_chain.h"
 #include "ordering/two_flit.h"
 
 namespace nocbt::ordering {
@@ -67,12 +66,14 @@ std::vector<std::uint32_t> materialize_permuted(
   return values;
 }
 
-/// Nearest-neighbor Hamming-distance chain: same semantics as
-/// greedy_min_xor_chain (seed = highest popcount, ties to the lowest
-/// index; successor = minimum HD, ties to the lowest index), but the
-/// distances come from a precomputed pairwise-HD matrix whose row scans
-/// are branch-light and cache-friendly. Windows too large for an N^2
-/// matrix fall back to on-the-fly distances with identical results.
+/// Greedy nearest-neighbor Hamming-distance chain: the seed is the value
+/// with the highest popcount (ties to the lowest index), each successor the
+/// unused value at minimum HD from its predecessor (ties to the lowest
+/// index). Distances come from a precomputed pairwise-HD matrix whose row
+/// scans are branch-light and cache-friendly; windows too large for an
+/// N^2 matrix fall back to on-the-fly distances with identical results.
+/// Distances only see the format's transmitted bits — stray bits above
+/// value_bits(format) never ride the link and must not steer the chain.
 constexpr std::size_t kHdMatrixMaxWindow = 4096;
 
 std::vector<std::uint32_t> hd_chain_raw(std::span<const std::uint32_t> patterns,
@@ -163,78 +164,13 @@ class PopcountStrategy final : public OrderingStrategy {
   }
 };
 
-class BucketStrategy final : public OrderingStrategy {
- public:
-  std::string_view name() const noexcept override { return "bucket"; }
-  std::string_view description() const noexcept override {
-    return "'1'-count bucket (counting) sort, descending; permutation "
-           "identical to popcount (Han et al. sorting unit)";
-  }
-  HardwareCost hardware_cost() const override {
-    return {.summary =
-                "pop-count stage + W+1 bucket counters and a prefix-sum "
-                "placement pass; comparable area to the sort network but "
-                "fixed two-pass latency",
-            .relative_area = 1.0};
-  }
-  std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
-                                   DataFormat format) const override {
-    const unsigned bits = value_bits(format);
-    std::vector<std::uint32_t> counts(bits + 2, 0);
-    for (const std::uint32_t p : patterns)
-      ++counts[static_cast<unsigned>(pattern_popcount(p, format))];
-    // Descending placement offsets: bucket `bits` first, bucket 0 last.
-    std::vector<std::uint32_t> offset(bits + 1, 0);
-    std::uint32_t running = 0;
-    for (unsigned c = bits + 1; c-- > 0;) {
-      offset[c] = running;
-      running += counts[c];
-    }
-    std::vector<std::uint32_t> perm(patterns.size());
-    for (std::size_t i = 0; i < patterns.size(); ++i) {
-      const auto c = static_cast<unsigned>(pattern_popcount(patterns[i], format));
-      perm[offset[c]++] = static_cast<std::uint32_t>(i);
-    }
-    return perm;
-  }
-};
-
-class ChainStrategy final : public OrderingStrategy {
+class NearestNeighborChain final : public OrderingStrategy {
  public:
   std::string_view name() const noexcept override { return "chain"; }
   std::string_view description() const noexcept override {
-    return "greedy min-XOR chain (naive O(N^2) reference, ablation A4), "
-           "with fall-back to arrival order when chaining would add BT";
-  }
-  HardwareCost hardware_cost() const override {
-    return {.summary =
-                "serial nearest-neighbor selection: N XOR+popcount compares "
-                "per emitted value - beyond the paper's sort network",
-            .relative_area = 4.0,
-            .sequential_scan = true};
-  }
-  bool never_worse_than_arrival() const noexcept override { return true; }
-  std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
-                                   DataFormat format) const override {
-    auto perm = greedy_min_xor_chain(patterns, format);
-    // Guard with the naive reference metric: this strategy *is* the
-    // retained reference implementation of HD chaining.
-    const auto chained = apply_permutation(patterns,
-                                           std::span<const std::uint32_t>(perm));
-    if (sequence_bt_reference(chained, format) >
-        sequence_bt_reference(patterns, format))
-      return identity_permutation(patterns.size());
-    return perm;
-  }
-};
-
-class HdChainStrategy final : public OrderingStrategy {
- public:
-  std::string_view name() const noexcept override { return "hdchain"; }
-  std::string_view description() const noexcept override {
-    return "nearest-neighbor Hamming-distance chaining over a precomputed "
-           "pairwise-HD matrix; same permutation as 'chain', word-packed "
-           "kernels underneath";
+    return "greedy min-Hamming-distance chain over a precomputed pairwise-HD "
+           "matrix (ablation A4), with fall-back to arrival order when "
+           "chaining would add BT";
   }
   HardwareCost hardware_cost() const override {
     return {.summary =
@@ -399,9 +335,7 @@ struct Registry {
   Registry() {
     list.push_back(std::make_unique<ArrivalStrategy>());
     list.push_back(std::make_unique<PopcountStrategy>());
-    list.push_back(std::make_unique<BucketStrategy>());
-    list.push_back(std::make_unique<ChainStrategy>());
-    list.push_back(std::make_unique<HdChainStrategy>());
+    list.push_back(std::make_unique<NearestNeighborChain>());
     list.push_back(std::make_unique<HybridStrategy>());
     list.push_back(std::make_unique<TwoFlitStrategy>());
   }
@@ -494,6 +428,24 @@ const OrderingStrategy& mode_strategy(OrderingMode mode) {
   if (index >= cache.size())
     throw std::invalid_argument("mode_strategy: unknown OrderingMode");
   return *cache[index];
+}
+
+PairOrder order_pairs(OrderingMode mode,
+                      std::span<const std::uint32_t> weights,
+                      std::span<const std::uint32_t> inputs,
+                      DataFormat format) {
+  if (weights.size() != inputs.size())
+    throw std::invalid_argument(
+        "order_pairs: " + std::to_string(weights.size()) + " weights but " +
+        std::to_string(inputs.size()) + " inputs");
+  if (mode_is_baseline(mode))
+    return {identity_permutation(weights.size()),
+            identity_permutation(inputs.size())};
+  const OrderingStrategy& strategy = mode_strategy(mode);
+  PairOrder order{strategy.order(weights, format), {}};
+  order.inputs = mode_is_separated(mode) ? strategy.order(inputs, format)
+                                         : order.weights;
+  return order;
 }
 
 std::vector<std::uint32_t> order_stream_with(

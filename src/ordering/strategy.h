@@ -11,23 +11,24 @@
 // campaign runner by name.
 //
 // A strategy is a pure function window -> permutation. Pairing semantics
-// (affiliated vs separated) stay with OrderingMode: every non-O2 mode
-// applies its strategy's permutation to (weight, input) pairs keyed on the
-// weights; O2 applies the popcount strategy per stream plus the pairing
-// index. Registered built-ins:
+// (affiliated vs separated) stay with OrderingMode and are decided in one
+// place, order_pairs(): every non-O2 mode applies its strategy's
+// permutation to (weight, input) pairs keyed on the weights; O2 applies
+// the popcount strategy per stream plus the pairing index. Registered
+// built-ins, one per distinct permutation:
 //
 //   arrival   identity (O0 reference point)
-//   popcount  stable '1'-count descending sort (the paper's unit, O1/O2)
-//   bucket    '1'-count bucket sort; permutation identical to popcount
-//   chain     greedy min-XOR chain, naive O(N^2) scan (ablation A4)
-//   hdchain   same chain semantics over a precomputed pairwise-HD matrix
+//   popcount  stable '1'-count descending counting sort (the paper's unit,
+//             O1/O2; Han et al.'s bucket sort computes the same order)
+//   chain     greedy min-Hamming-distance chain over a pairwise-HD matrix
+//             (ablation A4)
 //   hybrid    per-window best of {arrival, popcount, chain} by measured BT
 //   twoflit   SIII interleave x1 >= y1 >= x2 >= y2 >= ... across two flits
 //
-// chain/hdchain/hybrid additionally guarantee they never increase the
-// window's sequence BT versus arrival order (they fall back to the
-// identity permutation when the chained order would be worse), which is
-// the invariant the property suite asserts for every chain-class strategy.
+// chain/hybrid additionally guarantee they never increase the window's
+// sequence BT versus arrival order (they fall back to the identity
+// permutation when the chained order would be worse), which is the
+// invariant the property suite asserts for every chain-class strategy.
 
 #include <cstdint>
 #include <memory>
@@ -120,8 +121,26 @@ void register_strategy(std::unique_ptr<OrderingStrategy> strategy);
 /// The strategy an OrderingMode reorders with (see mode_strategy_name).
 [[nodiscard]] const OrderingStrategy& mode_strategy(OrderingMode mode);
 
-/// Reorder a whole value stream window by window with `strategy` — the
-/// strategy-generic form of order_stream_descending / chain_stream_greedy.
+/// Transmission order of one (weight, input) window: weights[i] and
+/// inputs[i] are the indices of the i-th weight and i-th input sent.
+struct PairOrder {
+  std::vector<std::uint32_t> weights;
+  std::vector<std::uint32_t> inputs;
+};
+
+/// The pairing rule, decided once for every caller: baseline keeps arrival
+/// order; separated (O2) orders each stream with the mode's strategy;
+/// every other mode orders the weights and moves each input with its
+/// weight (affiliated pairing). Throws std::invalid_argument when the two
+/// windows differ in length.
+[[nodiscard]] PairOrder order_pairs(OrderingMode mode,
+                                    std::span<const std::uint32_t> weights,
+                                    std::span<const std::uint32_t> inputs,
+                                    DataFormat format);
+
+/// Reorder a whole value stream window by window with `strategy` (the
+/// no-NoC experiment's transformation, §V-A: a window models one packet
+/// whose flits traverse a link back to back).
 [[nodiscard]] std::vector<std::uint32_t> order_stream_with(
     const OrderingStrategy& strategy, std::span<const std::uint32_t> patterns,
     DataFormat format, std::size_t window_values);

@@ -6,6 +6,7 @@
 #include "accel/accel_config.h"
 #include "accel/flitization.h"
 #include "accel/platform.h"
+#include "common/hash.h"
 #include "noc/analytical_engine.h"
 #include "noc/network.h"
 #include "ordering/bt_kernels.h"
@@ -29,31 +30,16 @@ std::vector<BitVec> build_payloads(const InjectionRequest& req,
                                    DataFormat format,
                                    const accel::FlitLayout& layout,
                                    ordering::OrderingMode mode) {
-  using ordering::apply_permutation;
-  std::span<const std::uint32_t> weights(req.weights);
-  std::span<const std::uint32_t> inputs(req.inputs);
-  std::vector<std::uint32_t> w_store;
-  std::vector<std::uint32_t> in_store;
-  if (!ordering::mode_is_baseline(mode)) {
-    const ordering::OrderingStrategy& strategy = ordering::mode_strategy(mode);
-    if (ordering::mode_is_separated(mode)) {
-      const auto w_perm = strategy.order(weights, format);
-      const auto in_perm = strategy.order(inputs, format);
-      w_store =
-          apply_permutation(weights, std::span<const std::uint32_t>(w_perm));
-      in_store =
-          apply_permutation(inputs, std::span<const std::uint32_t>(in_perm));
-    } else {
-      // Affiliated pairing: one permutation keyed on the weights moves
-      // (weight, input) pairs together.
-      const auto perm = strategy.order(weights, format);
-      w_store = apply_permutation(weights, std::span<const std::uint32_t>(perm));
-      in_store = apply_permutation(inputs, std::span<const std::uint32_t>(perm));
-    }
-    weights = w_store;
-    inputs = in_store;
-  }
-  return accel::pack_half_half(inputs, weights, std::nullopt, layout);
+  const std::span<const std::uint32_t> weights(req.weights);
+  const std::span<const std::uint32_t> inputs(req.inputs);
+  const ordering::PairOrder order =
+      ordering::order_pairs(mode, weights, inputs, format);
+  return accel::pack_half_half(
+      ordering::apply_permutation(inputs,
+                                  std::span<const std::uint32_t>(order.inputs)),
+      ordering::apply_permutation(
+          weights, std::span<const std::uint32_t>(order.weights)),
+      std::nullopt, layout);
 }
 
 /// Flitize the whole schedule for `mode` in one batched ordering pass:
@@ -117,38 +103,38 @@ SharedSchedulePtr materialize_schedule(const ScenarioSpec& spec) {
   return schedule;
 }
 
-/// Fingerprint of every spec field the synthetic generators read. Mode,
-/// engine and name are deliberately absent: scenarios differing only in
-/// those produce byte-identical schedules and share one materialization.
+/// Fingerprint of every spec field the synthetic generators read, hashed
+/// like scenario_content_key (doubles by bit pattern, so rates and
+/// distribution parameters that differ past any printed precision never
+/// share a schedule). Mode, engine and name are deliberately absent:
+/// scenarios differing only in those produce byte-identical schedules and
+/// share one materialization.
 std::string schedule_key(const ScenarioSpec& spec) {
-  std::string key = to_string(spec.generator);
-  const auto add = [&key](const std::string& s) {
-    key += '|';
-    key += s;
-  };
-  add(std::to_string(spec.rows));
-  add(std::to_string(spec.cols));
-  add(to_string(spec.format));
-  add(std::to_string(spec.fixed_bits));
-  add(std::to_string(spec.values_per_flit));
-  add(std::to_string(spec.window));
-  add(std::to_string(spec.packets));
-  add(std::to_string(spec.injection_rate));
-  add(to_string(spec.value_dist));
-  add(std::to_string(spec.dist_a));
-  add(std::to_string(spec.dist_b));
-  add(std::to_string(spec.hotspot_fraction));
-  add(std::to_string(spec.hotspot_node));
-  add(std::to_string(spec.burst_len));
-  add(std::to_string(spec.burst_gap));
-  add(spec.trace_path);
-  add(std::to_string(spec.num_mcs));
-  add(std::to_string(spec.model_seed));
-  add(spec.model);
-  add(spec.placement);
-  add(std::to_string(spec.tiles_per_layer));
-  add(std::to_string(spec.seed));
-  return key;
+  StableHash h;
+  h.add(to_string(spec.generator));
+  h.add(spec.rows);
+  h.add(spec.cols);
+  h.add(to_string(spec.format));
+  h.add(static_cast<std::uint64_t>(spec.fixed_bits));
+  h.add(static_cast<std::uint64_t>(spec.values_per_flit));
+  h.add(spec.window);
+  h.add(spec.packets);
+  h.add(spec.injection_rate);
+  h.add(to_string(spec.value_dist));
+  h.add(spec.dist_a);
+  h.add(spec.dist_b);
+  h.add(spec.hotspot_fraction);
+  h.add(spec.hotspot_node);
+  h.add(spec.burst_len);
+  h.add(spec.burst_gap);
+  h.add(spec.trace_path);
+  h.add(spec.num_mcs);
+  h.add(spec.model_seed);
+  h.add(spec.model);
+  h.add(spec.placement);
+  h.add(spec.tiles_per_layer);
+  h.add(spec.seed);
+  return h.hex();
 }
 
 /// Everything one network run yields.

@@ -216,8 +216,8 @@ TEST(Platform, RejectsBatchedInput) {
 }
 
 TEST(Platform, ConfigValidation) {
-  EXPECT_THROW(AccelConfig::defaults(DataFormat::kFloat32,
-                                     OrderingMode::kBaseline, 4, 4, 16),
+  EXPECT_THROW((void)AccelConfig::defaults(DataFormat::kFloat32,
+                                           OrderingMode::kBaseline, 4, 4, 16),
                std::invalid_argument);
   AccelConfig cfg = AccelConfig::defaults(DataFormat::kFloat32,
                                           OrderingMode::kBaseline, 4, 4, 2);

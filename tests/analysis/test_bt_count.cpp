@@ -159,7 +159,7 @@ TEST(StreamExperiment, RejectsDegenerateConfig) {
   const std::vector<float> values = {1.0f};
   StreamExperimentConfig cfg;
   cfg.values_per_flit = 0;
-  EXPECT_THROW(run_stream_experiment(values, cfg), std::invalid_argument);
+  EXPECT_THROW((void)run_stream_experiment(values, cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -45,9 +45,9 @@ TEST(BtMath, ProbabilityBounds) {
 }
 
 TEST(BtMath, RejectsOutOfRange) {
-  EXPECT_THROW(transition_probability(-1, 0, 32), std::invalid_argument);
-  EXPECT_THROW(transition_probability(0, 33, 32), std::invalid_argument);
-  EXPECT_THROW(transition_probability(0, 0, 0), std::invalid_argument);
+  EXPECT_THROW((void)transition_probability(-1, 0, 32), std::invalid_argument);
+  EXPECT_THROW((void)transition_probability(0, 33, 32), std::invalid_argument);
+  EXPECT_THROW((void)transition_probability(0, 0, 0), std::invalid_argument);
 }
 
 TEST(BtMath, SurfaceShapeAndCorners) {
@@ -103,7 +103,7 @@ TEST(BtMath, FlitExpectationSumsPerValue) {
                   expected_bt(32, 0, 32),
               1e-12);
   const std::vector<int> bad = {1};
-  EXPECT_THROW(expected_flit_bt(x, bad, 32), std::invalid_argument);
+  EXPECT_THROW((void)expected_flit_bt(x, bad, 32), std::invalid_argument);
 }
 
 }  // namespace

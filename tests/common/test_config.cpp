@@ -58,10 +58,10 @@ TEST(Options, GetIntRejectsTrailingGarbage) {
   // silently run the wrong sweep; the whole value must parse.
   const Options opts = parse_args({"window=32abc", "ok=32", "neg=-7",
                                    "hex=0x10", "spaced=32 ", "empty="});
-  EXPECT_THROW(opts.get_int("window", 0), std::invalid_argument);
-  EXPECT_THROW(opts.get_int("hex", 0), std::invalid_argument);
-  EXPECT_THROW(opts.get_int("spaced", 0), std::invalid_argument);
-  EXPECT_THROW(opts.get_int("empty", 0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_int("window", 0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_int("hex", 0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_int("spaced", 0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_int("empty", 0), std::invalid_argument);
   EXPECT_EQ(opts.get_int("ok", 0), 32);
   EXPECT_EQ(opts.get_int("neg", 0), -7);
   EXPECT_EQ(opts.get_int("missing", 5), 5);
@@ -70,9 +70,9 @@ TEST(Options, GetIntRejectsTrailingGarbage) {
 TEST(Options, GetDoubleRejectsTrailingGarbage) {
   const Options opts = parse_args({"rate=0.5x", "exp=1e3junk", "ok=0.25",
                                    "sci=1e-3", "empty="});
-  EXPECT_THROW(opts.get_double("rate", 0.0), std::invalid_argument);
-  EXPECT_THROW(opts.get_double("exp", 0.0), std::invalid_argument);
-  EXPECT_THROW(opts.get_double("empty", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_double("rate", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_double("exp", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)opts.get_double("empty", 0.0), std::invalid_argument);
   EXPECT_DOUBLE_EQ(opts.get_double("ok", 0.0), 0.25);
   EXPECT_DOUBLE_EQ(opts.get_double("sci", 0.0), 1e-3);
   EXPECT_DOUBLE_EQ(opts.get_double("missing", 2.5), 2.5);

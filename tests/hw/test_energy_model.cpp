@@ -40,11 +40,11 @@ TEST(EnergyModel, ParseEnergyPoint) {
   EXPECT_DOUBLE_EQ(parse_energy_point("paper"), 0.173);
   EXPECT_DOUBLE_EQ(parse_energy_point("banerjee"), 0.532);
   EXPECT_DOUBLE_EQ(parse_energy_point("0.25"), 0.25);
-  EXPECT_THROW(parse_energy_point(""), std::invalid_argument);
-  EXPECT_THROW(parse_energy_point("garbage"), std::invalid_argument);
-  EXPECT_THROW(parse_energy_point("0.25pJ"), std::invalid_argument);
-  EXPECT_THROW(parse_energy_point("-0.1"), std::invalid_argument);
-  EXPECT_THROW(parse_energy_point("0"), std::invalid_argument);
+  EXPECT_THROW((void)parse_energy_point(""), std::invalid_argument);
+  EXPECT_THROW((void)parse_energy_point("garbage"), std::invalid_argument);
+  EXPECT_THROW((void)parse_energy_point("0.25pJ"), std::invalid_argument);
+  EXPECT_THROW((void)parse_energy_point("-0.1"), std::invalid_argument);
+  EXPECT_THROW((void)parse_energy_point("0"), std::invalid_argument);
 }
 
 TEST(EnergyModel, EnergyArithmetic) {
@@ -110,7 +110,7 @@ TEST(EnergyModel, StaticEstimateDerivesLinksAndWidthFromNocConfig) {
 
   noc::NocConfig bad;
   bad.rows = 0;
-  EXPECT_THROW(model.static_estimate(bad), std::invalid_argument);
+  EXPECT_THROW((void)model.static_estimate(bad), std::invalid_argument);
 }
 
 TEST(EnergyModel, MeasureMatchesHandComputedPerLinkSums) {

@@ -107,9 +107,9 @@ TEST(LinkEnergy, MeshLinkCountDegenerateShapes) {
   EXPECT_EQ(mesh_bidirectional_links(1, 8), 7u);
   EXPECT_EQ(mesh_bidirectional_links(8, 1), 7u);
   EXPECT_EQ(mesh_bidirectional_links(1, 1), 0u);
-  EXPECT_THROW(mesh_bidirectional_links(0, 8), std::invalid_argument);
-  EXPECT_THROW(mesh_bidirectional_links(8, 0), std::invalid_argument);
-  EXPECT_THROW(mesh_bidirectional_links(0, 0), std::invalid_argument);
+  EXPECT_THROW((void)mesh_bidirectional_links(0, 8), std::invalid_argument);
+  EXPECT_THROW((void)mesh_bidirectional_links(8, 0), std::invalid_argument);
+  EXPECT_THROW((void)mesh_bidirectional_links(0, 0), std::invalid_argument);
 }
 
 TEST(LinkEnergy, TransitionsToJoules) {

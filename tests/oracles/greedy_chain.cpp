@@ -1,7 +1,4 @@
-#include "ordering/greedy_chain.h"
-
-#include <algorithm>
-#include <stdexcept>
+#include "oracles/greedy_chain.h"
 
 namespace nocbt::ordering {
 
@@ -43,23 +40,6 @@ std::vector<std::uint32_t> greedy_min_xor_chain(
     current = best;
   }
   return perm;
-}
-
-std::vector<std::uint32_t> chain_stream_greedy(
-    std::span<const std::uint32_t> patterns, DataFormat format,
-    std::size_t window_values) {
-  if (window_values == 0)
-    throw std::invalid_argument("chain_stream_greedy: window_values == 0");
-  std::vector<std::uint32_t> out;
-  out.reserve(patterns.size());
-  for (std::size_t start = 0; start < patterns.size();
-       start += window_values) {
-    const std::size_t len = std::min(window_values, patterns.size() - start);
-    const auto window = patterns.subspan(start, len);
-    const auto perm = greedy_min_xor_chain(window, format);
-    for (const std::uint32_t idx : perm) out.push_back(window[idx]);
-  }
-  return out;
 }
 
 }  // namespace nocbt::ordering

@@ -6,9 +6,9 @@
 #include "analysis/bt_count.h"
 #include "common/rng.h"
 #include "ordering/encoders.h"
-#include "ordering/greedy_chain.h"
 #include "ordering/ordering.h"
 #include "ordering/ordering_unit.h"
+#include "ordering/strategy.h"
 
 namespace nocbt::ordering {
 namespace {
@@ -98,7 +98,8 @@ TEST(GreedyChain, PermutationAndCoverage) {
   std::vector<std::uint32_t> patterns;
   for (int i = 0; i < 40; ++i)
     patterns.push_back(static_cast<std::uint32_t>(rng.bits64()));
-  const auto perm = greedy_min_xor_chain(patterns, DataFormat::kFloat32);
+  const auto perm =
+      get_strategy("chain").order(patterns, DataFormat::kFloat32);
   EXPECT_TRUE(is_permutation(perm, patterns.size()));
 }
 
@@ -112,7 +113,8 @@ TEST(GreedyChain, NeverWorseThanPopcountSortOnIntraWindowBt) {
     std::vector<std::uint32_t> patterns;
     for (int i = 0; i < 32; ++i)
       patterns.push_back(static_cast<std::uint32_t>(rng.bits64()));
-    const auto gperm = greedy_min_xor_chain(patterns, DataFormat::kFloat32);
+    const auto gperm =
+        get_strategy("chain").order(patterns, DataFormat::kFloat32);
     const auto sperm = popcount_descending_order(patterns, DataFormat::kFloat32);
     auto chain_bt = [&](const std::vector<std::uint32_t>& perm) {
       std::uint64_t bt = 0;
@@ -129,9 +131,9 @@ TEST(GreedyChain, NeverWorseThanPopcountSortOnIntraWindowBt) {
 
 TEST(GreedyChain, EmptyAndSingle) {
   const std::vector<std::uint32_t> empty;
-  EXPECT_TRUE(greedy_min_xor_chain(empty, DataFormat::kFixed8).empty());
+  EXPECT_TRUE(get_strategy("chain").order(empty, DataFormat::kFixed8).empty());
   const std::vector<std::uint32_t> single = {42};
-  const auto perm = greedy_min_xor_chain(single, DataFormat::kFixed8);
+  const auto perm = get_strategy("chain").order(single, DataFormat::kFixed8);
   ASSERT_EQ(perm.size(), 1u);
   EXPECT_EQ(perm[0], 0u);
 }

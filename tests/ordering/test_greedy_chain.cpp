@@ -1,6 +1,7 @@
-// Tests for the greedy min-XOR chain ordering (ablation A4): permutation
-// validity, the never-worse-than-natural-order property on random windows,
-// and degenerate window sizes.
+// Tests for the greedy min-XOR chain ordering (ablation A4) — the
+// registry's "chain" strategy: permutation validity, the
+// never-worse-than-natural-order property on random windows, window-by-
+// window stream chaining, and degenerate window sizes.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,8 @@
 
 #include "common/bitops.h"
 #include "common/rng.h"
-#include "ordering/greedy_chain.h"
 #include "ordering/ordering.h"
+#include "ordering/strategy.h"
 
 namespace nocbt::ordering {
 namespace {
@@ -36,26 +37,38 @@ std::uint64_t adjacent_bt(const std::vector<std::uint32_t>& seq) {
   return total;
 }
 
+std::vector<std::uint32_t> chain_order(std::span<const std::uint32_t> window,
+                                       DataFormat format) {
+  return get_strategy("chain").order(window, format);
+}
+
+std::vector<std::uint32_t> chain_stream(std::span<const std::uint32_t> stream,
+                                        DataFormat format,
+                                        std::size_t window_values) {
+  return order_stream_with(get_strategy("chain"), stream, format,
+                           window_values);
+}
+
 TEST(GreedyChain, EmptyWindow) {
   const std::vector<std::uint32_t> empty;
-  EXPECT_TRUE(greedy_min_xor_chain(empty, DataFormat::kFixed8).empty());
-  EXPECT_TRUE(chain_stream_greedy(empty, DataFormat::kFloat32, 16).empty());
+  EXPECT_TRUE(chain_order(empty, DataFormat::kFixed8).empty());
+  EXPECT_TRUE(chain_stream(empty, DataFormat::kFloat32, 16).empty());
 }
 
 TEST(GreedyChain, SingleElementWindow) {
   const std::vector<std::uint32_t> one = {0xA5};
-  const auto perm = greedy_min_xor_chain(one, DataFormat::kFixed8);
+  const auto perm = chain_order(one, DataFormat::kFixed8);
   ASSERT_EQ(perm.size(), 1u);
   EXPECT_EQ(perm[0], 0u);
 
-  const auto stream = chain_stream_greedy(one, DataFormat::kFixed8, 4);
+  const auto stream = chain_stream(one, DataFormat::kFixed8, 4);
   ASSERT_EQ(stream.size(), 1u);
   EXPECT_EQ(stream[0], 0xA5u);
 }
 
 TEST(GreedyChain, ZeroWindowThrows) {
   const std::vector<std::uint32_t> patterns = {1, 2, 3};
-  EXPECT_THROW(chain_stream_greedy(patterns, DataFormat::kFixed8, 0),
+  EXPECT_THROW(chain_stream(patterns, DataFormat::kFixed8, 0),
                std::invalid_argument);
 }
 
@@ -63,7 +76,7 @@ TEST(GreedyChain, ReturnsValidPermutation) {
   for (const DataFormat format : {DataFormat::kFixed8, DataFormat::kFloat32}) {
     for (const std::size_t n : {2u, 3u, 16u, 64u, 257u}) {
       const auto patterns = random_patterns(n, format, 7 + n);
-      const auto perm = greedy_min_xor_chain(patterns, format);
+      const auto perm = chain_order(patterns, format);
       EXPECT_TRUE(is_permutation(perm, n))
           << "n=" << n << " format=" << to_string(format);
     }
@@ -74,7 +87,7 @@ TEST(GreedyChain, StartsFromHighestPopcount) {
   // Seed element is the max-popcount value (ties: lowest index), matching
   // the descending ordering's start.
   const std::vector<std::uint32_t> patterns = {0x0F, 0xFE, 0x01, 0xEF};
-  const auto perm = greedy_min_xor_chain(patterns, DataFormat::kFixed8);
+  const auto perm = chain_order(patterns, DataFormat::kFixed8);
   ASSERT_FALSE(perm.empty());
   EXPECT_EQ(perm[0], 1u);  // 0xFE: first of the two 7-popcount values
 }
@@ -83,7 +96,7 @@ TEST(GreedyChain, NeverWorseThanNaturalOrderOnRandomWindows) {
   for (const DataFormat format : {DataFormat::kFixed8, DataFormat::kFloat32}) {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
       const auto window = random_patterns(64, format, seed);
-      const auto perm = greedy_min_xor_chain(window, format);
+      const auto perm = chain_order(window, format);
       std::vector<std::uint32_t> chained;
       for (const std::uint32_t idx : perm) chained.push_back(window[idx]);
       EXPECT_LE(adjacent_bt(chained), adjacent_bt(window))
@@ -98,7 +111,7 @@ TEST(GreedyChain, NeverWorseThanPopcountOrderOnRandomWindows) {
   for (const DataFormat format : {DataFormat::kFixed8, DataFormat::kFloat32}) {
     for (std::uint64_t seed = 100; seed < 110; ++seed) {
       const auto window = random_patterns(48, format, seed);
-      const auto chain_perm = greedy_min_xor_chain(window, format);
+      const auto chain_perm = chain_order(window, format);
       const auto sort_perm = popcount_descending_order(window, format);
       std::vector<std::uint32_t> chained, sorted;
       for (const std::uint32_t idx : chain_perm) chained.push_back(window[idx]);
@@ -112,7 +125,7 @@ TEST(GreedyChain, NeverWorseThanPopcountOrderOnRandomWindows) {
 TEST(GreedyChain, StreamChainsWindowByWindow) {
   const auto patterns = random_patterns(100, DataFormat::kFixed8, 11);
   const std::size_t window = 32;  // 100 = 32 + 32 + 32 + 4 (ragged tail)
-  const auto out = chain_stream_greedy(patterns, DataFormat::kFixed8, window);
+  const auto out = chain_stream(patterns, DataFormat::kFixed8, window);
   ASSERT_EQ(out.size(), patterns.size());
 
   for (std::size_t start = 0; start < patterns.size(); start += window) {
@@ -125,7 +138,7 @@ TEST(GreedyChain, StreamChainsWindowByWindow) {
     EXPECT_TRUE(std::is_permutation(in_window.begin(), in_window.end(),
                                     out_window.begin()));
     // ...and is exactly the per-window greedy chain.
-    const auto perm = greedy_min_xor_chain(in_window, DataFormat::kFixed8);
+    const auto perm = chain_order(in_window, DataFormat::kFixed8);
     for (std::size_t i = 0; i < len; ++i)
       EXPECT_EQ(out_window[i], in_window[perm[i]]);
   }

@@ -1,20 +1,22 @@
 // Tests for the ordering-strategy registry: built-in presence, mode ->
-// strategy resolution, differential equivalences between the new
-// strategies and their reference implementations, and registry extension.
+// strategy resolution, differential equivalences between the production
+// strategies and the reference oracles under tests/oracles, and registry
+// extension.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bitops.h"
 #include "common/rng.h"
+#include "oracles/greedy_chain.h"
+#include "oracles/stable_popcount_sort.h"
 #include "ordering/bt_kernels.h"
-#include "ordering/greedy_chain.h"
 #include "ordering/ordering.h"
 #include "ordering/strategy.h"
 #include "ordering/two_flit.h"
@@ -33,13 +35,63 @@ std::vector<std::uint32_t> random_window(std::size_t n, DataFormat format,
   return out;
 }
 
+/// Windows over a 4-value alphabet (three values of one popcount plus the
+/// all-ones value): most sort keys and chain distances tie, so any
+/// divergence in tie-breaking between production and oracle shows up.
+std::vector<std::uint32_t> tie_heavy_window(std::size_t n, DataFormat format,
+                                            std::uint64_t seed) {
+  const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
+  const std::uint32_t alphabet[4] = {0x0F0F0F0Fu & mask, 0xF0F0F0F0u & mask,
+                                     0x33333333u & mask, mask};
+  Rng rng(seed);
+  std::vector<std::uint32_t> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(alphabet[rng.bits64() % 4]);
+  return out;
+}
+
+/// Window lengths the differential suites sweep: every ragged placement
+/// request size (1-64), the paper's longer windows (128-512), and windows
+/// past the chain's 4096-value pairwise-matrix limit.
+std::vector<std::size_t> differential_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (const std::size_t n : {128u, 129u, 200u, 255u, 256u, 257u, 384u, 511u,
+                              512u})
+    lengths.push_back(n);
+  return lengths;
+}
+
+/// The production chain's contract in oracle terms: the naive greedy chain,
+/// unless it would transmit more BT than arrival order (scored with the
+/// per-bit reference kernel), in which case the identity.
+std::vector<std::uint32_t> guarded_chain_oracle(
+    std::span<const std::uint32_t> window, DataFormat format) {
+  auto perm = greedy_min_xor_chain(window, format);
+  const auto chained =
+      apply_permutation(window, std::span<const std::uint32_t>(perm));
+  if (sequence_bt_reference(chained, format) >
+      sequence_bt_reference(window, format)) {
+    for (std::size_t i = 0; i < perm.size(); ++i)
+      perm[i] = static_cast<std::uint32_t>(i);
+  }
+  return perm;
+}
+
 TEST(StrategyRegistry, BuiltinsAreRegistered) {
-  std::set<std::string> names;
-  for (const OrderingStrategy* s : registered_strategies())
-    names.insert(std::string(s->name()));
-  for (const char* expected : {"arrival", "popcount", "bucket", "chain",
-                               "hdchain", "hybrid", "twoflit"})
-    EXPECT_TRUE(names.count(expected)) << "missing strategy " << expected;
+  // One built-in per distinct permutation, in registration order (other
+  // tests in this binary may append custom strategies after them).
+  const auto names = registered_strategy_names();
+  const std::vector<std::string> builtins = {"arrival", "popcount", "chain",
+                                             "hybrid", "twoflit"};
+  ASSERT_GE(names.size(), builtins.size());
+  EXPECT_EQ(std::vector<std::string>(names.begin(),
+                                     names.begin() + builtins.size()),
+            builtins);
+  // The former duplicate implementations are gone from the registry; their
+  // mode names resolve to the surviving strategy instead.
+  EXPECT_EQ(find_strategy("bucket"), nullptr);
+  EXPECT_EQ(find_strategy("hdchain"), nullptr);
 }
 
 TEST(StrategyRegistry, LookupAndErrors) {
@@ -72,6 +124,47 @@ TEST(StrategyRegistry, EveryModeResolvesToARegisteredStrategy) {
   EXPECT_EQ(mode_strategy(OrderingMode::kHybrid).name(), "hybrid");
 }
 
+TEST(StrategyRegistry, ModeAliasesShareOneStrategyAndKeepTheirNames) {
+  // Modes that named a second implementation of the same permutation
+  // resolve to the one production strategy object...
+  EXPECT_EQ(&mode_strategy(OrderingMode::kAffiliated),
+            &mode_strategy(OrderingMode::kSeparated));
+  EXPECT_EQ(&mode_strategy(OrderingMode::kAffiliated),
+            &mode_strategy(OrderingMode::kBucket));
+  EXPECT_EQ(&mode_strategy(OrderingMode::kAffiliated),
+            &get_strategy("popcount"));
+  EXPECT_EQ(&mode_strategy(OrderingMode::kChain),
+            &mode_strategy(OrderingMode::kHdChain));
+  EXPECT_EQ(&mode_strategy(OrderingMode::kChain), &get_strategy("chain"));
+  // ...while every mode keeps its report name, scenario key and parse
+  // tokens, so scenario names, cache keys and goldens do not move.
+  struct Names {
+    OrderingMode mode;
+    const char* report;
+    const char* key;
+    std::vector<std::string> tokens;
+  };
+  const std::vector<Names> expected = {
+      {OrderingMode::kBaseline, "O0-baseline", "O0", {"O0", "baseline"}},
+      {OrderingMode::kAffiliated, "O1-affiliated", "O1", {"O1", "affiliated"}},
+      {OrderingMode::kSeparated, "O2-separated", "O2", {"O2", "separated"}},
+      {OrderingMode::kChain, "chain", "chain", {"chain", "greedy-chain"}},
+      {OrderingMode::kHdChain, "hdchain", "hdchain", {"hdchain", "hd-chain"}},
+      {OrderingMode::kBucket, "bucket", "bucket", {"bucket", "bucket-sort"}},
+      {OrderingMode::kHybrid, "hybrid", "hybrid", {"hybrid"}},
+      {OrderingMode::kTwoFlit, "twoflit", "twoflit", {"twoflit", "two-flit"}},
+  };
+  ASSERT_EQ(all_ordering_modes().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const Names& e = expected[i];
+    EXPECT_EQ(all_ordering_modes()[i], e.mode) << e.report;
+    EXPECT_EQ(to_string(e.mode), e.report);
+    EXPECT_EQ(short_mode_name(e.mode), e.key);
+    for (const std::string& token : e.tokens)
+      EXPECT_EQ(parse_ordering_mode(token), e.mode) << token;
+  }
+}
+
 TEST(StrategyRegistry, NewModeNamesRoundTripThroughParser) {
   EXPECT_EQ(parse_ordering_mode("chain"), OrderingMode::kChain);
   EXPECT_EQ(parse_ordering_mode("hdchain"), OrderingMode::kHdChain);
@@ -96,34 +189,50 @@ TEST(StrategyRegistry, ModeListParserHandlesSweepArguments) {
 }
 
 TEST(StrategyDifferential, BucketSortMatchesPopcountSortExactly) {
-  // The '1'-count bucket sort is a stable counting sort on the same key:
-  // the permutation must be identical to the comparison sort's, including
-  // tie handling, on every window.
-  const OrderingStrategy& bucket = get_strategy("bucket");
+  // Production popcount is a stable '1'-count bucket (counting) sort: its
+  // permutation must equal the comparison-sort oracle's, ties included,
+  // on every window — random and tie-heavy, both formats.
+  const OrderingStrategy& popcount = get_strategy("popcount");
+  auto lengths = differential_lengths();
+  lengths.push_back(4097);
   for (const DataFormat format : {DataFormat::kFloat32, DataFormat::kFixed8}) {
-    for (const std::size_t n : {0u, 1u, 2u, 7u, 16u, 33u, 64u, 257u}) {
-      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        const auto window = random_window(n, format, seed * 31 + n);
-        EXPECT_EQ(bucket.order(window, format),
-                  popcount_descending_order(window, format))
-            << "n=" << n << " seed=" << seed;
+    for (const std::size_t n : lengths) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        for (const auto& window :
+             {random_window(n, format, seed * 31 + n),
+              tie_heavy_window(n, format, seed * 37 + n)}) {
+          EXPECT_EQ(popcount.order(window, format),
+                    stable_popcount_order(window, format))
+              << "n=" << n << " seed=" << seed;
+          EXPECT_EQ(popcount_descending_order(window, format),
+                    stable_popcount_order(window, format))
+              << "n=" << n << " seed=" << seed;
+        }
       }
     }
   }
+  // Stray bits above the format width never reach the sort key.
+  const std::vector<std::uint32_t> dirty = {0x0000FF01u, 0x02u, 0x03u,
+                                            0xABCD0081u, 0x00FF0000u};
+  EXPECT_EQ(popcount.order(dirty, DataFormat::kFixed8),
+            stable_popcount_order(dirty, DataFormat::kFixed8));
 }
 
 TEST(StrategyDifferential, HdChainMatchesNaiveChainExactly) {
-  // hdchain re-implements the greedy chain over a precomputed HD matrix;
-  // both run through the same never-worse guard, so the permutations must
-  // agree on every window.
+  // Production chain runs the greedy selection over a precomputed HD
+  // matrix and falls back to arrival order when chaining would add BT; the
+  // permutation must equal the naive-scan oracle under the same guard.
   const OrderingStrategy& chain = get_strategy("chain");
-  const OrderingStrategy& hdchain = get_strategy("hdchain");
   for (const DataFormat format : {DataFormat::kFloat32, DataFormat::kFixed8}) {
-    for (const std::size_t n : {0u, 1u, 2u, 7u, 16u, 33u, 64u, 129u}) {
-      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        const auto window = random_window(n, format, seed * 131 + n);
-        EXPECT_EQ(hdchain.order(window, format), chain.order(window, format))
-            << "n=" << n << " seed=" << seed;
+    for (const std::size_t n : differential_lengths()) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        for (const auto& window :
+             {random_window(n, format, seed * 131 + n),
+              tie_heavy_window(n, format, seed * 137 + n)}) {
+          EXPECT_EQ(chain.order(window, format),
+                    guarded_chain_oracle(window, format))
+              << "n=" << n << " seed=" << seed;
+        }
       }
     }
   }
@@ -131,19 +240,23 @@ TEST(StrategyDifferential, HdChainMatchesNaiveChainExactly) {
   // dirty fixed-8 patterns in uint32 slots cannot make them diverge.
   const std::vector<std::uint32_t> dirty = {0x0000FF01u, 0x02u, 0x03u,
                                             0xABCD0081u, 0x00FF0000u};
-  EXPECT_EQ(hdchain.order(dirty, DataFormat::kFixed8),
-            chain.order(dirty, DataFormat::kFixed8));
+  EXPECT_EQ(chain.order(dirty, DataFormat::kFixed8),
+            guarded_chain_oracle(dirty, DataFormat::kFixed8));
 }
 
 TEST(StrategyDifferential, HdChainMatrixFallbackMatchesBeyondThreshold) {
   // Windows too large for the N^2 matrix use on-the-fly distances; the
   // permutation must not change across the internal threshold (4096).
-  const DataFormat format = DataFormat::kFixed8;
-  const auto window = random_window(4200, format, 77);
-  const OrderingStrategy& hdchain = get_strategy("hdchain");
-  const auto perm = hdchain.order(window, format);
-  EXPECT_TRUE(is_permutation(perm, window.size()));
-  EXPECT_EQ(perm, greedy_min_xor_chain(window, format));
+  const OrderingStrategy& chain = get_strategy("chain");
+  for (const DataFormat format : {DataFormat::kFixed8, DataFormat::kFloat32}) {
+    for (const auto& window : {random_window(4200, format, 77),
+                               tie_heavy_window(4097, format, 78)}) {
+      const auto perm = chain.order(window, format);
+      EXPECT_TRUE(is_permutation(perm, window.size()));
+      EXPECT_EQ(perm, guarded_chain_oracle(window, format))
+          << "n=" << window.size() << " format=" << to_string(format);
+    }
+  }
 }
 
 TEST(StrategyDifferential, TwoFlitMatchesInterleaveAssignment) {
@@ -190,10 +303,20 @@ TEST(StrategyDifferential, HybridPicksTheCheapestCandidatePerWindow) {
 }
 
 TEST(StrategyDifferential, OrderStreamWithPopcountMatchesLegacyStreamSort) {
+  // The no-NoC stream transformation: stable popcount sort per 64-value
+  // window, ragged 40-value tail included.
   const auto stream = random_window(1000, DataFormat::kFixed8, 91);
+  std::vector<std::uint32_t> expected;
+  for (std::size_t start = 0; start < stream.size(); start += 64) {
+    const auto window = std::span(stream).subspan(
+        start, std::min<std::size_t>(64, stream.size() - start));
+    for (const std::uint32_t idx :
+         stable_popcount_order(window, DataFormat::kFixed8))
+      expected.push_back(window[idx]);
+  }
   EXPECT_EQ(order_stream_with(get_strategy("popcount"), stream,
                               DataFormat::kFixed8, 64),
-            order_stream_descending(stream, DataFormat::kFixed8, 64));
+            expected);
   EXPECT_THROW((void)order_stream_with(get_strategy("popcount"), stream,
                                        DataFormat::kFixed8, 0),
                std::invalid_argument);

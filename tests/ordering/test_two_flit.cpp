@@ -36,7 +36,7 @@ TEST(TwoFlit, RejectsOddCounts) {
   const std::vector<std::uint32_t> odd = {1, 2, 3};
   EXPECT_THROW(interleave_descending(odd, DataFormat::kFixed8),
                std::invalid_argument);
-  EXPECT_THROW(exhaustive_best_f(odd, DataFormat::kFixed8),
+  EXPECT_THROW((void)exhaustive_best_f(odd, DataFormat::kFixed8),
                std::invalid_argument);
 }
 

@@ -70,7 +70,9 @@ TEST(PlacePropertySuite, EveryPolicyTilesEveryZooModelExactly) {
         for (std::size_t t = 0; t < op.tiles.size(); ++t) {
           const TileAssignment& tile = op.tiles[t];
           EXPECT_GE(tile.units(), 1);
-          if (t > 0) EXPECT_EQ(tile.unit_begin, op.tiles[t - 1].unit_end);
+          if (t > 0) {
+            EXPECT_EQ(tile.unit_begin, op.tiles[t - 1].unit_end);
+          }
           // PE is a real compute node of this mesh: in range and not a MC.
           EXPECT_GE(tile.pe, 0);
           EXPECT_LT(tile.pe, kRows * kCols);

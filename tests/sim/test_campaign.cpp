@@ -439,7 +439,8 @@ TEST(Campaign, BadEnergyKnobsAreContainedAsErrorRows) {
 
 TEST(Campaign, RenderTableHasOneRowPerScenario) {
   const CampaignSpec camp = small_campaign();
-  const auto result = run_campaign(camp, RunnerConfig{.threads = 2});
+  const auto result = run_campaign(
+      camp, RunnerConfig{.threads = 2, .exec = {}, .on_result = {}});
   const std::string table = render_table(result);
   for (const auto& row : result.rows)
     EXPECT_NE(table.find(row.spec.name), std::string::npos) << row.spec.name;
@@ -484,7 +485,8 @@ TEST(Campaign, ProfilerCountersAreThreadInvariant) {
   CampaignSpec camp = small_campaign();
   camp.generators = {GeneratorKind::kUniform};
   const auto serial = run_campaign(camp);
-  const auto parallel = run_campaign(camp, RunnerConfig{.threads = 4});
+  const auto parallel = run_campaign(
+      camp, RunnerConfig{.threads = 4, .exec = {}, .on_result = {}});
   ASSERT_EQ(serial.rows.size(), parallel.rows.size());
   for (std::size_t i = 0; i < serial.rows.size(); ++i) {
     EXPECT_TRUE(serial.rows[i].sim == parallel.rows[i].sim)

@@ -2,6 +2,7 @@
 // (what makes two scenarios "the same measurement"), the self-checking
 // record codec's exact round trip, and the store's corruption handling —
 // a damaged entry must degrade to a diagnosed miss, never a wrong row.
+// Also the campaign-scoped schedule cache's key domain.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 
 #include "sim/campaign.h"
 #include "sim/scenario_cache.h"
+#include "sim/scenario_runner.h"
 
 namespace nocbt::sim {
 namespace {
@@ -302,6 +304,29 @@ TEST(ScenarioCache, RejectsEntryStoredUnderTheWrongHash) {
   const auto diags = reader.take_diagnostics();
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_NE(diags[0].find(other), std::string::npos) << diags[0];
+}
+
+TEST(ScheduleCache, RatesBeyondSixDecimalsGetTheirOwnSchedule) {
+  // A key built from std::to_string(double) prints 6 decimals, so both
+  // rates below would read "0.000000" and the second spec would replay the
+  // first one's (4x sparser) schedule. Doubles must key by bit pattern.
+  ScenarioSpec slow = synthetic_spec();
+  slow.injection_rate = 1e-7;
+  ScenarioSpec fast = slow;
+  fast.injection_rate = 4e-7;
+
+  ScheduleCache cache(3);
+  const SharedSchedulePtr a = cache.get(slow);
+  const SharedSchedulePtr b = cache.get(fast);
+  ASSERT_FALSE(a->requests.empty());
+  ASSERT_FALSE(b->requests.empty());
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_GT(a->requests.back().cycle, b->requests.back().cycle);
+  // Each cached schedule is the one its spec materializes on its own...
+  ScheduleCache fresh(1);
+  EXPECT_EQ(b->requests.back().cycle, fresh.get(fast)->requests.back().cycle);
+  // ...and equal specs still share one materialization.
+  EXPECT_EQ(cache.get(slow).get(), a.get());
 }
 
 }  // namespace
