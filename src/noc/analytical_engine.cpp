@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 namespace nocbt::noc {
 
@@ -117,8 +118,10 @@ std::uint64_t AnalyticalEngine::inject(std::uint64_t cycle, std::int32_t src,
 }
 
 bool AnalyticalEngine::evaluate_link(std::size_t link, LinkAccumulator& acc,
-                                     std::string& detail) const {
-  auto crossings = crossings_[link];  // copy: evaluate_link is const + reentrant
+                                     std::string& detail) {
+  // run() is once-only and each link belongs to one worker, so the sort
+  // can reorder the link's crossings in place.
+  std::vector<Crossing>& crossings = crossings_[link];
   std::sort(crossings.begin(), crossings.end(),
             [](const Crossing& a, const Crossing& b) {
               return a.start != b.start ? a.start < b.start
@@ -140,6 +143,19 @@ bool AnalyticalEngine::evaluate_link(std::size_t link, LinkAccumulator& acc,
     acc.observe_packet(p.first, p.last, p.intra_bt, p.flits);
   }
   return free;
+}
+
+CrossingLog AnalyticalEngine::crossing_log() const {
+  if (!ran_)
+    throw std::logic_error(
+        "AnalyticalEngine::crossing_log: run() has not been called");
+  CrossingLogBuilder log(crossings_.size());
+  for (const PacketRec& p : packets_) log.add_packet(p.flits);
+  for (std::size_t link = 0; link < crossings_.size(); ++link)
+    for (const Crossing& c : crossings_[link])
+      for (std::uint32_t f = 0; f < packets_[c.packet].flits; ++f)
+        log.add_flit(link, c.packet, f);
+  return std::move(log).finish();
 }
 
 bool AnalyticalEngine::run(unsigned threads) {

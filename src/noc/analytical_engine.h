@@ -47,6 +47,7 @@
 
 #include "common/bitvec.h"
 #include "noc/bt_recorder.h"
+#include "noc/crossing_log.h"
 #include "noc/noc_config.h"
 #include "noc/noc_stats.h"
 #include "noc/routing.h"
@@ -86,6 +87,11 @@ class AnalyticalEngine {
     return contention_detail_;
   }
 
+  /// Every link's flit crossings in wire order.
+  /// Valid after run(); it is the realized order only when run() returned
+  /// true. Throws std::logic_error before run().
+  [[nodiscard]] CrossingLog crossing_log() const;
+
   [[nodiscard]] const BtRecorder& bt() const noexcept { return bt_; }
   [[nodiscard]] const NocStats& stats() const noexcept { return stats_; }
   /// Drain cycle (valid after run()): the cycle count a cycle engine
@@ -110,10 +116,11 @@ class AnalyticalEngine {
     std::uint32_t packet = 0;  ///< index into packets_
   };
 
-  /// Replay one link's crossings in wire order. Returns false (and fills
-  /// `detail` once) when two crossings overlap.
+  /// Sort one link's crossings into wire order (in place) and replay
+  /// them. Returns false (and fills `detail` once) when two crossings
+  /// overlap.
   bool evaluate_link(std::size_t link, LinkAccumulator& acc,
-                     std::string& detail) const;
+                     std::string& detail);
 
   NocConfig cfg_;
   MeshShape shape_;
@@ -130,7 +137,8 @@ class AnalyticalEngine {
   std::vector<std::int32_t> inter_link_;
   std::vector<std::int32_t> injection_link_;
   std::vector<std::int32_t> ejection_link_;
-  std::vector<std::vector<Crossing>> crossings_;  ///< per link id
+  /// Per link id; in wire order once run() has sorted them.
+  std::vector<std::vector<Crossing>> crossings_;
 };
 
 }  // namespace nocbt::noc

@@ -78,10 +78,11 @@ struct LinkAccumulator {
     return bt;
   }
 
-  /// A whole packet crossing back-to-back (flits on consecutive wire
-  /// beats): the boundary transition against the current wire state plus
-  /// the packet's precomputed internal transitions, in O(1) popcounts.
-  /// Exactly equivalent to observe()-ing every flit in order.
+  /// A run of flits crossing back-to-back (a whole packet, or a stretch of
+  /// one or more packets — see noc::CrossingLog): the boundary transition
+  /// against the current wire state plus the run's precomputed internal
+  /// transitions, in O(1) popcounts. Exactly equivalent to observe()-ing
+  /// every flit in order.
   std::uint64_t observe_packet(const BitVec& first, const BitVec& last,
                                std::uint64_t intra_bt,
                                std::uint64_t packet_flits) {
@@ -127,6 +128,7 @@ class BtRecorder {
   }
 
   [[nodiscard]] std::size_t link_count() const noexcept { return links_.size(); }
+  [[nodiscard]] unsigned payload_bits() const noexcept { return payload_bits_; }
   [[nodiscard]] const LinkInfo& link_info(std::int32_t id) const {
     return links_[static_cast<std::size_t>(id)];
   }

@@ -29,9 +29,12 @@ Channel<Flit>* Network::new_flit_channel(const LinkInfo& info,
   flit_channels_.emplace_back(cfg_.channel_latency);
   Channel<Flit>* ch = &flit_channels_.back();
   const std::int32_t link_id = bt_.register_link(info);
-  BtRecorder* recorder = &bt_;
-  ch->set_observer([recorder, link_id](const Flit& flit) {
-    recorder->observe(link_id, flit.payload);
+  ch->set_observer([this, link_id](const Flit& flit) {
+    bt_.observe(link_id, flit.payload);
+    if (crossing_log_)
+      crossing_log_->add_flit(static_cast<std::size_t>(link_id),
+                              static_cast<std::uint32_t>(flit.packet_id),
+                              flit.seq);
   });
   if (active_engine_) ch->set_waker(this, consumer);
   return ch;
@@ -128,6 +131,9 @@ std::uint64_t Network::inject(std::int32_t src, std::int32_t dst,
   packet.payloads = std::move(payloads);
   ++stats_.packets_injected;
   stats_.flits_injected += packet.payloads.size();
+  if (crossing_log_)
+    crossing_log_->add_packet(
+        static_cast<std::uint32_t>(packet.payloads.size()));
   const std::uint64_t id = packet.id;
   nis_[src].enqueue(std::move(packet));
   if (active_engine_) activate_ni(src);

@@ -41,6 +41,7 @@
 
 #include "noc/bt_recorder.h"
 #include "noc/channel.h"
+#include "noc/crossing_log.h"
 #include "noc/flit.h"
 #include "noc/network_interface.h"
 #include "noc/noc_config.h"
@@ -58,6 +59,14 @@ class Network : private ChannelWaker {
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
+
+  /// Log every packet injected from now on, and every flit crossing, into
+  /// `log` (a builder sized for bt().link_count()). Set it before the
+  /// first inject(): the log's packet indexes are packet ids. The builder
+  /// must outlive the network's stepping.
+  void set_crossing_log(CrossingLogBuilder* log) noexcept {
+    crossing_log_ = log;
+  }
 
   /// Install a delivery callback for packets arriving at `node`.
   void set_sink(std::int32_t node, PacketSink sink);
@@ -126,6 +135,7 @@ class Network : private ChannelWaker {
   NocStats stats_;
   std::uint64_t cycle_ = 0;
   std::uint64_t next_packet_id_ = 0;
+  CrossingLogBuilder* crossing_log_ = nullptr;
 
   std::deque<Router> routers_;
   std::deque<NetworkInterface> nis_;

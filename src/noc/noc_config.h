@@ -59,6 +59,8 @@ struct BtScopeConfig {
   bool count_injection = false;  ///< NI -> router links (NI output ports)
   bool count_inter_router = true;
   bool count_ejection = true;    ///< router -> NI links (router local outports)
+
+  friend bool operator==(const BtScopeConfig&, const BtScopeConfig&) = default;
 };
 
 /// Full network configuration.
@@ -92,6 +94,8 @@ struct NocConfig {
   }
 
   [[nodiscard]] std::int32_t node_count() const noexcept { return rows * cols; }
+
+  friend bool operator==(const NocConfig&, const NocConfig&) = default;
 };
 
 }  // namespace nocbt::noc

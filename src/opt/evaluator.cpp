@@ -8,6 +8,22 @@
 
 namespace nocbt::opt {
 
+namespace {
+
+/// Schedules an Evaluator keeps: the one its latest simulation used. Mode
+/// moves keep the schedule and reuse it with its timing run; exact repeats
+/// are memo hits and never reach the schedule store. Keeping more trades
+/// memory for fewer rebuilds: on the e2ebench coopt searches over placed
+/// MobileNet (8x8, up to 6 distinct schedules per search, ~0.65 MB each
+/// with its timing run) a pass materializes and times 39 schedules with 1
+/// kept, 26 with 3 and 22 with all kept. Against the previous
+/// two-simulation runner, keeping all raised the coopt_shared_cache peak
+/// RSS by 21% and keeping 2 by 8-11%, past the benchmark's 10% bound;
+/// keeping 1 by 1-2%.
+constexpr std::size_t kScheduleCacheEntries = 1;
+
+}  // namespace
+
 Evaluator::Evaluator(sim::CampaignSpec base)
     : Evaluator(std::move(base), nullptr) {}
 
@@ -15,7 +31,8 @@ Evaluator::Evaluator(sim::CampaignSpec base,
                      std::shared_ptr<sim::ScenarioCache> cache)
     : base_(std::move(base)),
       cache_(std::move(cache)),
-      schedules_(std::numeric_limits<std::size_t>::max()) {
+      schedules_(std::numeric_limits<std::size_t>::max(),
+                 kScheduleCacheEntries) {
   if (base_.generators.size() != 1)
     throw std::invalid_argument(
         "Evaluator: the campaign template must hold exactly one generator, "

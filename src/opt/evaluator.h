@@ -78,11 +78,12 @@ class Evaluator {
   std::shared_ptr<sim::ScenarioCache> cache_;
   /// Search-scoped schedule store: candidates differing only in ordering
   /// mode (and any knob absent from the schedule key) share one
-  /// materialized schedule plus its derived batched-ordering inputs, so a
-  /// mode sweep at a fixed grid point pays the traffic generation and
-  /// arrival-BT kernel passes once. Unbounded retention is deliberate —
-  /// optimizers revisit points in arbitrary order, and a search's distinct
-  /// schedules are few and small.
+  /// materialized schedule plus its derived batched-ordering inputs and
+  /// its timing run, so a mode sweep at a fixed grid point pays the
+  /// traffic generation, the network run and the arrival-BT kernel passes
+  /// once. Retention is bounded by recency (kScheduleCacheEntries in
+  /// evaluator.cpp): a search may touch many schedules, each holding its
+  /// requests and timing run.
   sim::ScheduleCache schedules_;
   std::map<std::string, sim::ScenarioResult> memo_;
   std::size_t lookups_ = 0;

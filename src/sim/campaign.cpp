@@ -119,8 +119,9 @@ bool operator==(const ScenarioResult& a, const ScenarioResult& b) {
          a.avg_latency == b.avg_latency && a.avg_hops == b.avg_hops &&
          a.drained == b.drained && a.sim == b.sim && a.links == b.links &&
          a.error == b.error;
-  // wall_ms_* are deliberately not compared: wall-clock is the one
-  // nondeterministic measurement a scenario carries.
+  // wall_ms_*, timing_ran and why_not are deliberately not compared: they
+  // are observability, wall-clock is nondeterministic, and which row runs
+  // a shared timing run depends on thread scheduling.
 }
 
 }  // namespace nocbt::sim

@@ -116,13 +116,27 @@ struct ScenarioResult {
   /// Step-loop profile of the ordered run (deterministic engine counters:
   /// cycles stepped vs. idle-skipped, component steps run vs. skipped).
   noc::SimProfile sim;
-  /// Host wall-clock of each variant run, in milliseconds. NOT
+  /// Host wall-clock of each variant, in milliseconds: for synthetic
+  /// rows the timing run (0 when shared) and order+flitize+replay. NOT
   /// deterministic — excluded from operator==, from the golden-compared
   /// CSV/JSON reports, and from the persisted cache/journal records
   /// (cached rows replay with 0 here); surfaced via write_profile_csv
-  /// only.
+  /// only. The fields below down to `why_not` are kept out the same way.
   double wall_ms_baseline = 0.0;
   double wall_ms_ordered = 0.0;
+  /// Synthetic rows' stages: the schedule's timing run (0 when this row
+  /// shared another row's), ordering + flitization of the ordered
+  /// variant, and its replay over the timing run's crossing log.
+  double wall_ms_timing = 0.0;
+  double wall_ms_order = 0.0;
+  double wall_ms_replay = 0.0;
+  /// True when this row made the network run it reports (always for model
+  /// rows, which simulate both variants); false when it shared the timing
+  /// run another row of its schedule made, or was served from a cache.
+  bool timing_ran = false;
+  /// Why the analytical backend was not used for the timing run (empty
+  /// when it was, or when it was not attempted).
+  std::string why_not;
   /// Per-link measurements of the ordered run (every monitored link, in
   /// link-id order) — the rows of the heatmap CSV.
   std::vector<hw::LinkEnergyRow> links;

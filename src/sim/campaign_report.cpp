@@ -68,21 +68,27 @@ std::size_t write_profile_csv(const std::string& path,
                               const CampaignResult& result) {
   (void)campaign;
   CsvWriter csv(path,
-                {"scenario", "engine", "wall_ms_baseline", "wall_ms_ordered",
-                 "cycles", "cycles_stepped", "idle_cycles_skipped",
-                 "components_stepped", "components_skipped", "skip_ratio"});
+                {"scenario", "engine", "timing", "wall_ms_baseline",
+                 "wall_ms_ordered", "wall_ms_timing", "wall_ms_order",
+                 "wall_ms_replay", "cycles", "cycles_stepped",
+                 "idle_cycles_skipped", "components_stepped",
+                 "components_skipped", "skip_ratio", "why_not"});
   for (const ScenarioResult& row : result.rows) {
     // row.sim.engine is the backend that actually ran the ordered variant
     // (auto-selection may pick analytical over the spec's cycle engine).
     csv.add_row({row.spec.name, noc::to_string(row.sim.engine),
+                 row.timing_ran ? "ran" : "shared",
                  format_double(row.wall_ms_baseline, 3),
                  format_double(row.wall_ms_ordered, 3),
+                 format_double(row.wall_ms_timing, 3),
+                 format_double(row.wall_ms_order, 3),
+                 format_double(row.wall_ms_replay, 3),
                  std::to_string(row.cycles),
                  std::to_string(row.sim.cycles_stepped),
                  std::to_string(row.sim.idle_cycles_skipped),
                  std::to_string(row.sim.components_stepped),
                  std::to_string(row.sim.components_skipped),
-                 format_double(row.sim.skip_ratio(), 6)});
+                 format_double(row.sim.skip_ratio(), 6), row.why_not});
   }
   return csv.rows_written();
 }

@@ -20,9 +20,12 @@ std::size_t write_csv_report(const std::string& path,
                              const CampaignSpec& campaign,
                              const CampaignResult& result);
 
-/// Step-loop profile CSV: one row per scenario with the engine, wall-clock
-/// per variant, deterministic step counters and the component skip ratio.
-/// Kept separate from write_csv_report/json_report so the wall-clock
+/// Step-loop profile CSV: one row per scenario with the engine, whether
+/// the row made its network run ("ran") or reused one ("shared": another
+/// row's timing run, or a cache/journal hit), wall-clock per variant and
+/// per stage (timing run, order+flitize, replay), deterministic step
+/// counters, the component skip ratio and why the analytical backend was
+/// rejected. Kept separate from write_csv_report/json_report so these
 /// columns never enter the byte-compared golden fixtures (cache- or
 /// journal-replayed rows report wall_ms 0 here). Returns rows written.
 std::size_t write_profile_csv(const std::string& path,

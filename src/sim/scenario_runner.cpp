@@ -1,5 +1,7 @@
 #include "sim/scenario_runner.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -8,6 +10,7 @@
 #include "accel/platform.h"
 #include "common/hash.h"
 #include "noc/analytical_engine.h"
+#include "noc/crossing_log.h"
 #include "noc/network.h"
 #include "ordering/bt_kernels.h"
 #include "ordering/strategy.h"
@@ -17,10 +20,19 @@ namespace nocbt::sim {
 
 namespace {
 
-/// Per-request flitized payload batch: payloads[i] is what request i
-/// injects. Built once per variant and replayed by the analytical attempt
-/// and, on fallback, the cycle engine.
-using PayloadBatch = std::vector<std::vector<BitVec>>;
+/// Every request's flitized payloads, concatenated in request order —
+/// request i owns packet_flits[i] consecutive flits — which is the layout
+/// noc::CrossingLog::replay charges.
+struct PayloadBatch {
+  std::vector<BitVec> flits;
+  std::vector<std::uint32_t> packet_flits;
+
+  void add(std::vector<BitVec>&& packet) {
+    packet_flits.push_back(static_cast<std::uint32_t>(packet.size()));
+    flits.insert(flits.end(), std::make_move_iterator(packet.begin()),
+                 std::make_move_iterator(packet.end()));
+  }
+};
 
 /// Flitize one request under the given ordering mode: encode order, pack
 /// half-half (weights right, inputs left, no bias — pure traffic). The
@@ -48,16 +60,19 @@ std::vector<BitVec> build_payloads(const InjectionRequest& req,
 /// candidate ordering) instead of one-to-two kernel calls per request.
 /// Payloads are byte-identical to looping build_payloads — order_batch
 /// returns exactly what order() returns per window, and the equivalence
-/// suite pins it. Baseline mode and non-uniform window layouts take the
-/// per-request path.
+/// suite pins it. Non-uniform window layouts take the per-request path.
+/// `flits` (the batch's flit count, known from the timing run) sizes the
+/// batch up front.
 PayloadBatch build_payload_batch(const SharedSchedule& sched,
                                  DataFormat format,
                                  const accel::FlitLayout& layout,
-                                 ordering::OrderingMode mode) {
+                                 ordering::OrderingMode mode,
+                                 std::size_t flits) {
   const InjectionSchedule& reqs = sched.requests;
   PayloadBatch payloads;
-  payloads.reserve(reqs.size());
-  if (!ordering::mode_is_baseline(mode) && !reqs.empty()) {
+  payloads.flits.reserve(flits);
+  payloads.packet_flits.reserve(reqs.size());
+  if (!reqs.empty()) {
     const SharedSchedule::Derived& d = sched.derived(format);
     if (d.uniform) {
       const ordering::OrderingStrategy& strategy =
@@ -84,7 +99,7 @@ PayloadBatch build_payload_batch(const SharedSchedule& sched,
           w_store[k] = req.weights[w_perm[k]];
           in_store[k] = req.inputs[in_perm[k]];
         }
-        payloads.push_back(
+        payloads.add(
             accel::pack_half_half(in_store, w_store, std::nullopt, layout));
         start += len;
       }
@@ -92,7 +107,7 @@ PayloadBatch build_payload_batch(const SharedSchedule& sched,
     }
   }
   for (const InjectionRequest& req : reqs)
-    payloads.push_back(build_payloads(req, format, layout, mode));
+    payloads.add(build_payloads(req, format, layout, mode));
   return payloads;
 }
 
@@ -108,7 +123,9 @@ SharedSchedulePtr materialize_schedule(const ScenarioSpec& spec) {
 /// distribution parameters that differ past any printed precision never
 /// share a schedule). Mode, engine and name are deliberately absent:
 /// scenarios differing only in those produce byte-identical schedules and
-/// share one materialization.
+/// share one materialization. The network knobs left out here (VCs,
+/// buffer depth, engine choice, stall guard) select among the schedule's
+/// timing runs instead (SharedSchedule::timing).
 std::string schedule_key(const ScenarioSpec& spec) {
   StableHash h;
   h.add(to_string(spec.generator));
@@ -148,23 +165,44 @@ struct VariantOutcome {
   double avg_hops = 0.0;
   bool drained = false;
   noc::SimProfile sim;   ///< step-loop counters (deterministic)
-  double wall_ms = 0.0;  ///< host wall-clock of the run (nondeterministic)
+  double wall_ms = 0.0;  ///< model runs' host wall-clock (nondeterministic)
   std::vector<noc::LinkObservation> links;  ///< frozen per-link counters
 };
 
-/// Drive a synthetic generator's schedule through a fresh network,
-/// injecting the prebuilt per-request payloads (consumed — each request's
-/// payloads are moved into the network). `want_links` gates the per-link
-/// snapshot: only the ordered run's links are reported, so the baseline
-/// variant skips copying every link counter of a large mesh.
-VariantOutcome run_traffic_variant(const ScenarioSpec& spec, bool want_links,
+}  // namespace
+
+struct SharedSchedule::Timing {
+  VariantOutcome o0;     ///< the O0 variant, per-link counters included
+  noc::CrossingLog log;  ///< empty when the run hit the stall guard
+  std::string why_not;   ///< analytical rejection reason
+};
+
+namespace {
+
+/// Request `req`'s O0 payloads: arrival order, packed half-half. The
+/// timing run flitizes each request as it injects it, so only packets in
+/// flight hold payloads.
+std::vector<BitVec> baseline_payloads(const InjectionRequest& req,
+                                      const ScenarioSpec& spec) {
+  const accel::FlitLayout layout{spec.values_per_flit, value_bits(spec.format)};
+  return build_payloads(req, spec.format, layout,
+                        ordering::OrderingMode::kBaseline);
+}
+
+/// Drive a synthetic generator's schedule, carrying its O0 payloads,
+/// through a fresh network, and log every link's crossings into `log` once
+/// the network drains.
+VariantOutcome run_traffic_variant(const ScenarioSpec& spec,
                                    const InjectionSchedule& schedule,
-                                   PayloadBatch&& payloads) {
-  const noc::WallTimer timer;
+                                   noc::CrossingLog& log) {
   noc::Network net(spec.noc_config());
   const std::int32_t nodes = spec.rows * spec.cols;
   for (std::int32_t node = 0; node < nodes; ++node)
     net.set_sink(node, nullptr);  // stats-only sink
+  // Request i is injected i-th, so its packet id — the log's packet
+  // index — is i.
+  noc::CrossingLogBuilder crossings(net.bt().link_count());
+  net.set_crossing_log(&crossings);
 
   std::size_t next_req = 0;
   const auto* pending = next_req < schedule.size() ? &schedule[next_req]
@@ -178,14 +216,14 @@ VariantOutcome run_traffic_variant(const ScenarioSpec& spec, bool want_links,
   while (pending || !net.idle()) {
     if (active_steps > spec.max_cycles) {  // drained stays false
       out.sim = net.stats().sim;
-      out.wall_ms = timer.millis();
       return out;
     }
     if (pending && pending->cycle > net.cycle() && net.idle()) {
       net.advance_idle(pending->cycle - net.cycle());
     }
     while (pending && pending->cycle <= net.cycle()) {
-      net.inject(pending->src, pending->dst, std::move(payloads[next_req]));
+      net.inject(pending->src, pending->dst,
+                 baseline_payloads(*pending, spec));
       ++next_req;
       pending = next_req < schedule.size() ? &schedule[next_req] : nullptr;
     }
@@ -205,8 +243,8 @@ VariantOutcome run_traffic_variant(const ScenarioSpec& spec, bool want_links,
   out.avg_hops = net.stats().packet_hops.mean();
   out.drained = true;
   out.sim = net.stats().sim;
-  if (want_links) out.links = net.bt().snapshot();
-  out.wall_ms = timer.millis();
+  out.links = net.bt().snapshot();
+  log = std::move(crossings).finish();
   return out;
 }
 
@@ -241,20 +279,19 @@ VariantOutcome run_model_variant(const ScenarioSpec& spec,
   return out;
 }
 
-/// Evaluate a synthetic schedule through the zero-load analytical backend.
-/// Returns true when the result is exact (schedule proven congestion-free)
-/// with `out` filled; false when the schedule is contended or the config
-/// unsupported, with `why_not` explaining — the caller then replays the
-/// same materialized schedule on a cycle engine.
-bool run_analytical_variant(const ScenarioSpec& spec, bool want_links,
+/// Evaluate a synthetic schedule, carrying its O0 payloads, through the
+/// zero-load analytical backend. Returns true when the result is exact
+/// (schedule proven congestion-free) with `out` and `log` filled; false
+/// when the schedule is contended or the config unsupported, with
+/// `why_not` explaining — the caller then replays the same materialized
+/// schedule on a cycle engine.
+bool run_analytical_variant(const ScenarioSpec& spec,
                             const InjectionSchedule& schedule,
-                            const PayloadBatch& payloads,
-                            VariantOutcome& out, std::string& why_not) {
-  const noc::WallTimer timer;
+                            VariantOutcome& out, noc::CrossingLog& log,
+                            std::string& why_not) {
   noc::AnalyticalEngine eng(spec.noc_config());
-  for (std::size_t i = 0; i < schedule.size(); ++i)
-    eng.inject(schedule[i].cycle, schedule[i].src, schedule[i].dst,
-               payloads[i]);
+  for (const InjectionRequest& req : schedule)
+    eng.inject(req.cycle, req.src, req.dst, baseline_payloads(req, spec));
   if (!eng.run()) {
     why_not = eng.contention_detail();
     return false;
@@ -270,48 +307,93 @@ bool run_analytical_variant(const ScenarioSpec& spec, bool want_links,
   out.avg_hops = eng.stats().packet_hops.mean();
   out.drained = true;
   out.sim = eng.stats().sim;
-  if (want_links) out.links = eng.bt().snapshot();
-  out.wall_ms = timer.millis();
+  out.links = eng.bt().snapshot();
+  log = eng.crossing_log();
   return true;
 }
 
-VariantOutcome run_variant(const ScenarioSpec& spec,
-                           ordering::OrderingMode mode,
-                           const ModelHooks& hooks, bool want_links,
-                           const SharedSchedule* schedule) {
-  // Model workloads inject reactively and always need a cycle engine
-  // (validate() rejects forcing analytical on them); every other workload
-  // replays the caller's materialized schedule.
-  ScenarioSpec cyc = spec;
-  if (cyc.engine == noc::SimEngine::kAnalytical)
-    cyc.engine = noc::SimEngine::kActiveSet;
-  if (spec.generator == GeneratorKind::kModel)
-    return run_model_variant(cyc, mode, hooks, want_links);
-
-  // Flitize the whole schedule once — one batched ordering pass whose
-  // payloads both the analytical attempt and its cycle-engine fallback
-  // replay, so a fallback never repeats the ordering work.
-  const accel::FlitLayout layout{spec.values_per_flit, value_bits(spec.format)};
-  PayloadBatch payloads =
-      build_payload_batch(*schedule, spec.format, layout, mode);
+/// One run of a synthetic schedule carrying its O0 payloads. Under
+/// engine=auto (or forced analytical) the analytical backend is tried
+/// first; a rejection is recorded in why_not and, under auto, the spec's
+/// cycle engine runs instead.
+SharedSchedule::TimingPtr run_timing(const ScenarioSpec& spec,
+                                     const SharedSchedule& schedule) {
+  auto timing = std::make_shared<SharedSchedule::Timing>();
   if (spec.engine_auto || spec.engine == noc::SimEngine::kAnalytical) {
-    VariantOutcome out;
-    std::string why_not;
-    if (run_analytical_variant(spec, want_links, schedule->requests, payloads,
-                               out, why_not))
-      return out;
+    if (run_analytical_variant(spec, schedule.requests, timing->o0,
+                               timing->log, timing->why_not))
+      return timing;
     if (!spec.engine_auto)
       throw std::runtime_error(
           "engine=analytical cannot evaluate this schedule exactly: " +
-          why_not + " (engine=auto falls back to a cycle engine instead)");
+          timing->why_not +
+          " (engine=auto falls back to a cycle engine instead)");
   }
-  // Cycle-engine path; under auto-selection kAnalytical is a policy, not a
-  // steppable backend, so the fallback runs active-set.
-  return run_traffic_variant(cyc, want_links, schedule->requests,
-                             std::move(payloads));
+  // Under auto-selection kAnalytical is a policy, not a steppable backend,
+  // so the fallback runs active-set.
+  ScenarioSpec cyc = spec;
+  if (cyc.engine == noc::SimEngine::kAnalytical)
+    cyc.engine = noc::SimEngine::kActiveSet;
+  timing->o0 = run_traffic_variant(cyc, schedule.requests, timing->log);
+  return timing;
+}
+
+/// The ordered variant of a drained timing run: flitize the schedule under
+/// spec.mode and charge it over the timing run's crossing log. Everything
+/// but the BT and per-link counters is the timing run's.
+VariantOutcome replay_ordered(const ScenarioSpec& spec,
+                              const SharedSchedule& schedule,
+                              const SharedSchedule::Timing& timing,
+                              ScenarioResult& result) {
+  noc::WallTimer timer;
+  const accel::FlitLayout layout{spec.values_per_flit, value_bits(spec.format)};
+  const PayloadBatch payloads =
+      build_payload_batch(schedule, spec.format, layout, spec.mode,
+                          timing.o0.flits);
+  result.wall_ms_order = timer.millis();
+  timer.restart();
+  const noc::NocConfig cfg = spec.noc_config();
+  noc::BtRecorder bt(cfg.bt_scope, cfg.flit_payload_bits);
+  for (const noc::LinkObservation& link : timing.o0.links)
+    bt.register_link(link.info);
+  timing.log.replay(payloads.flits, payloads.packet_flits, bt);
+  VariantOutcome out = timing.o0;
+  out.bt = bt.total();
+  out.links = bt.snapshot();
+  result.wall_ms_replay = timer.millis();
+  return out;
 }
 
 }  // namespace
+
+SharedSchedule::TimingPtr SharedSchedule::timing(const ScenarioSpec& spec,
+                                                 bool& ran) const {
+  const noc::NocConfig noc = spec.noc_config();
+  std::promise<TimingPtr> mine;
+  std::shared_future<TimingPtr> fut;
+  ran = false;
+  {
+    const std::lock_guard<std::mutex> lock(timing_mutex_);
+    for (const TimingSlot& slot : timings_)
+      if (slot.noc == noc && slot.engine_auto == spec.engine_auto &&
+          slot.max_cycles == spec.max_cycles)
+        fut = slot.timing;
+    if (!fut.valid()) {
+      ran = true;
+      fut = mine.get_future().share();
+      timings_.push_back(
+          TimingSlot{noc, spec.engine_auto, spec.max_cycles, fut});
+    }
+  }
+  if (ran) {
+    try {
+      mine.set_value(run_timing(spec, *this));
+    } catch (...) {
+      mine.set_exception(std::current_exception());
+    }
+  }
+  return fut.get();  // rethrows a failed run to every sharer
+}
 
 const SharedSchedule::Derived& SharedSchedule::derived(
     DataFormat format) const {
@@ -360,10 +442,16 @@ SharedSchedulePtr ScheduleCache::get(const ScenarioSpec& spec) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
     if (it == entries_.end()) {
+      if (max_entries_ > 0 && entries_.size() >= max_entries_)
+        entries_.erase(std::min_element(
+            entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
+              return a.second.last_use < b.second.last_use;
+            }));
       owner = true;
       fut = mine.get_future().share();
-      entries_.emplace(key, Entry{fut, uses_per_key_});
+      entries_.emplace(key, Entry{fut, uses_per_key_, ++clock_});
     } else {
+      it->second.last_use = ++clock_;
       fut = it->second.future;
     }
   }
@@ -390,25 +478,46 @@ ScenarioResult run_scenario_shared(const ScenarioSpec& spec,
   result.spec = spec;
   try {
     spec.validate();
-    // Materialize the pre-ordering schedule once: both variants (and the
-    // analytical attempt plus its cycle-engine fallback) replay the same
-    // request list, and with a cache every mode row of this traffic stream
-    // shares it too — including the derived batched-ordering inputs.
-    SharedSchedulePtr schedule;
-    if (spec.generator != GeneratorKind::kModel)
-      schedule =
-          schedules ? schedules->get(spec) : materialize_schedule(spec);
-    // Per-link rows come from the ordered run only, so the baseline
-    // variant skips the snapshot — unless it *is* the ordered run.
     const bool baseline_is_ordered =
         spec.mode == ordering::OrderingMode::kBaseline;
-    const VariantOutcome baseline =
-        run_variant(spec, ordering::OrderingMode::kBaseline, hooks,
-                    baseline_is_ordered, schedule.get());
-    const VariantOutcome ordered =
-        baseline_is_ordered
-            ? baseline
-            : run_variant(spec, spec.mode, hooks, true, schedule.get());
+    // Model workloads inject reactively and always need a cycle engine
+    // (validate() rejects forcing analytical on them): both variants run.
+    // Every other workload materializes its pre-ordering schedule once —
+    // with a cache, once per traffic stream — and scores its ordered
+    // variant over the stream's timing run.
+    VariantOutcome baseline;
+    VariantOutcome ordered;
+    if (spec.generator == GeneratorKind::kModel) {
+      ScenarioSpec cyc = spec;
+      if (cyc.engine == noc::SimEngine::kAnalytical)
+        cyc.engine = noc::SimEngine::kActiveSet;
+      // Per-link rows come from the ordered run only, so the baseline
+      // variant skips the snapshot — unless it *is* the ordered run.
+      baseline = run_model_variant(cyc, ordering::OrderingMode::kBaseline,
+                                   hooks, baseline_is_ordered);
+      ordered = baseline_is_ordered
+                    ? baseline
+                    : run_model_variant(cyc, spec.mode, hooks, true);
+      result.timing_ran = true;
+      result.wall_ms_baseline = baseline.wall_ms;
+      result.wall_ms_ordered = ordered.wall_ms;
+    } else {
+      const SharedSchedulePtr schedule =
+          schedules ? schedules->get(spec) : materialize_schedule(spec);
+      const noc::WallTimer timer;
+      const SharedSchedule::TimingPtr timing =
+          schedule->timing(spec, result.timing_ran);
+      if (result.timing_ran) result.wall_ms_timing = timer.millis();
+      result.why_not = timing->why_not;
+      baseline = timing->o0;
+      // A stalled timing run has no crossing log; its ordered variant
+      // stalls identically.
+      ordered = baseline_is_ordered || !timing->o0.drained
+                    ? timing->o0
+                    : replay_ordered(spec, *schedule, *timing, result);
+      result.wall_ms_baseline = result.wall_ms_timing;
+      result.wall_ms_ordered = result.wall_ms_order + result.wall_ms_replay;
+    }
     result.bt_baseline = baseline.bt;
     result.bt_ordered = ordered.bt;
     result.reduction =
@@ -430,8 +539,6 @@ ScenarioResult run_scenario_shared(const ScenarioSpec& spec,
     result.avg_hops = ordered.avg_hops;
     result.drained = baseline.drained && ordered.drained;
     result.sim = ordered.sim;
-    result.wall_ms_baseline = baseline.wall_ms;
-    result.wall_ms_ordered = ordered.wall_ms;
     if (!result.drained)
       result.error = "scenario '" + spec.name +
                      "' hit the max_cycles stall guard (" +

@@ -6,12 +6,17 @@
 //
 // Every scenario is measured twice through identical injection schedules:
 // once with O0 (baseline) payload ordering and once with the scenario's
-// ordering mode, yielding the BT reduction the paper reports. Model
-// scenarios run full inferences through NocDnaPlatform instead, which is
-// how bench/fig12_noc_sizes reproduces its paper figure through this
-// engine. Synthetic scenarios under engine=auto are first evaluated by the
-// zero-load analytical backend and keep that result when it is proven
-// exact, falling back to the requested cycle engine otherwise.
+// ordering mode, yielding the BT reduction the paper reports. Link timing
+// does not depend on payload bits, so a synthetic schedule runs the network
+// once per network config — with its O0 payloads, which makes that run the
+// baseline variant too — and records every link's crossing order
+// (noc::CrossingLog). The ordered variant is then flitized and replayed
+// over that log, with no network. Synthetic schedules under engine=auto
+// are first evaluated by the zero-load analytical backend and keep that
+// result when it is proven exact, falling back to the requested cycle
+// engine otherwise. Model scenarios run two full inferences through
+// NocDnaPlatform instead, which is how bench/fig12_noc_sizes reproduces its
+// paper figure through this engine.
 
 #include <cstdint>
 #include <future>
@@ -40,8 +45,8 @@ using InjectionSchedule = std::vector<InjectionRequest>;
 /// kernel pass per candidate ordering) score every window of the
 /// scenario. The request list is immutable after materialization; the
 /// derived block is built lazily on the first ordered variant and then
-/// shared — across both variants of a scenario, and, through the campaign
-/// ScheduleCache, across every mode row of a grid point.
+/// shared, through the campaign ScheduleCache, across every mode row of a
+/// grid point — as is the schedule's timing run.
 struct SharedSchedule {
   InjectionSchedule requests;
 
@@ -64,9 +69,33 @@ struct SharedSchedule {
   /// key pins the format, so every caller passes the same one.
   [[nodiscard]] const Derived& derived(DataFormat format) const;
 
+  /// One network run of the schedule carrying its O0 payloads: every
+  /// payload-independent measurement, the O0 BT and per-link counters,
+  /// and the crossing log that scores any other ordering of the schedule.
+  /// Defined in scenario_runner.cpp.
+  struct Timing;
+  using TimingPtr = std::shared_ptr<const Timing>;
+
+  /// The timing for `spec`'s network. The schedule key leaves out the
+  /// fields that shape the network but not the traffic (VCs, buffer
+  /// depth, engine choice, stall guard), so each distinct noc_config(),
+  /// engine_auto and max_cycles gets its own run, made once (thread-safe:
+  /// concurrent callers wait for the first one's run and share it, its
+  /// failure included). `ran` is set for the caller that made the run.
+  [[nodiscard]] TimingPtr timing(const ScenarioSpec& spec, bool& ran) const;
+
  private:
   mutable std::once_flag once_;
   mutable Derived derived_;
+
+  struct TimingSlot {
+    noc::NocConfig noc;
+    bool engine_auto = true;
+    std::uint64_t max_cycles = 0;
+    std::shared_future<TimingPtr> timing;
+  };
+  mutable std::mutex timing_mutex_;
+  mutable std::vector<TimingSlot> timings_;
 };
 
 using SharedSchedulePtr = std::shared_ptr<const SharedSchedule>;
@@ -77,11 +106,15 @@ using SharedSchedulePtr = std::shared_ptr<const SharedSchedule>;
 /// and with it the SharedSchedule::Derived ordering inputs. Thread-safe;
 /// the first worker to request a key materializes it while later workers
 /// block on the shared future. Entries are dropped after `uses_per_key`
-/// lookups (one per mode row) to bound campaign memory.
+/// lookups (one per mode row) to bound campaign memory, and — when
+/// `max_entries` is non-zero — the least recently used entry is dropped to
+/// make room for a new key beyond that many. A dropped schedule lives on
+/// while a caller still holds it; a later lookup of its key rebuilds it.
 class ScheduleCache {
  public:
-  explicit ScheduleCache(std::size_t uses_per_key)
-      : uses_per_key_(uses_per_key < 1 ? 1 : uses_per_key) {}
+  explicit ScheduleCache(std::size_t uses_per_key, std::size_t max_entries = 0)
+      : uses_per_key_(uses_per_key < 1 ? 1 : uses_per_key),
+        max_entries_(max_entries) {}
 
   [[nodiscard]] SharedSchedulePtr get(const ScenarioSpec& spec);
 
@@ -89,10 +122,13 @@ class ScheduleCache {
   struct Entry {
     std::shared_future<SharedSchedulePtr> future;
     std::size_t remaining = 0;
+    std::uint64_t last_use = 0;  ///< lookup clock at the latest get()
   };
   std::size_t uses_per_key_;
+  std::size_t max_entries_;
   std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;
+  std::uint64_t clock_ = 0;  ///< lookups so far (guarded by mutex_)
 };
 
 /// Run one already-expanded scenario (both ordering variants).

@@ -458,9 +458,10 @@ TEST(Campaign, ProfileCsvCarriesStepLoopCounters) {
   std::string header;
   ASSERT_TRUE(std::getline(in, header));
   EXPECT_EQ(header,
-            "scenario,engine,wall_ms_baseline,wall_ms_ordered,cycles,"
+            "scenario,engine,timing,wall_ms_baseline,wall_ms_ordered,"
+            "wall_ms_timing,wall_ms_order,wall_ms_replay,cycles,"
             "cycles_stepped,idle_cycles_skipped,components_stepped,"
-            "components_skipped,skip_ratio");
+            "components_skipped,skip_ratio,why_not");
   std::size_t data_lines = 0;
   std::string line;
   while (std::getline(in, line))

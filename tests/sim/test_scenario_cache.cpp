@@ -329,5 +329,28 @@ TEST(ScheduleCache, RatesBeyondSixDecimalsGetTheirOwnSchedule) {
   EXPECT_EQ(cache.get(slow).get(), a.get());
 }
 
+TEST(ScheduleCache, EntryLimitDropsTheLeastRecentlyUsedSchedule) {
+  ScenarioSpec a = synthetic_spec();
+  ScenarioSpec b = a;
+  b.seed += 1;
+  ScenarioSpec c = a;
+  c.seed += 2;
+
+  ScheduleCache cache(100, 2);
+  const SharedSchedulePtr a1 = cache.get(a);
+  const SharedSchedulePtr b1 = cache.get(b);
+  EXPECT_EQ(cache.get(a).get(), a1.get());  // a is now the most recent
+  (void)cache.get(c);                       // full: drops b, not a
+  EXPECT_EQ(cache.get(a).get(), a1.get());
+  const SharedSchedulePtr b2 = cache.get(b);  // rebuilt, dropping c
+  EXPECT_NE(b2.get(), b1.get());
+  ASSERT_EQ(b2->requests.size(), b1->requests.size());
+  for (std::size_t i = 0; i < b1->requests.size(); ++i) {
+    EXPECT_EQ(b2->requests[i].cycle, b1->requests[i].cycle);
+    EXPECT_EQ(b2->requests[i].weights, b1->requests[i].weights);
+  }
+  EXPECT_EQ(cache.get(a).get(), a1.get());
+}
+
 }  // namespace
 }  // namespace nocbt::sim
