@@ -6,8 +6,9 @@
 //   $ ./micro_ordering --json BENCH_ordering.json [--window 32]
 //
 // The --json mode is the machine-readable perf baseline: it self-times the
-// word-packed BT-count kernel against the retained naive per-bit reference
-// and every registered ordering strategy at the given window size, then
+// word-packed BT-count kernel against the retained naive per-bit reference,
+// the HD chain under every kernel tier and every registered ordering
+// strategy at the given window size, then
 // writes one JSON document (via common/json_writer) that CI uploads as an
 // artifact so future PRs have a regression trajectory to compare against.
 
@@ -93,16 +94,18 @@ void BM_SequenceBtReference(benchmark::State& state) {
 }
 BENCHMARK(BM_SequenceBtReference)->Arg(32)->Arg(256)->Arg(4096);
 
-void BM_PairwiseHdMatrix(benchmark::State& state) {
-  const auto window =
-      random_patterns(static_cast<std::size_t>(state.range(0)), 32, 8);
+// The unguarded HD chain (the chain/hybrid hot path) on the active tier.
+void BM_HdChain(benchmark::State& state, DataFormat format) {
+  const auto window = random_patterns(static_cast<std::size_t>(state.range(0)),
+                                      value_bits(format), 8);
   for (auto _ : state) {
-    auto matrix = ordering::pairwise_hd_matrix(window, DataFormat::kFloat32);
-    benchmark::DoNotOptimize(matrix);
+    auto perm = ordering::hd_chain_order(window, format);
+    benchmark::DoNotOptimize(perm);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_PairwiseHdMatrix)->Arg(32)->Arg(256);
+BENCHMARK_CAPTURE(BM_HdChain, fx8, DataFormat::kFixed8)->Arg(64)->Arg(512);
+BENCHMARK_CAPTURE(BM_HdChain, fp32, DataFormat::kFloat32)->Arg(64)->Arg(512);
 
 // Every registered strategy at the paper-ish window sizes.
 void BM_Strategy(benchmark::State& state, const char* name, DataFormat format) {
@@ -300,6 +303,52 @@ int run_json_bench(const std::string& path, std::size_t window_values) {
                    "micro_ordering: kernel tiers disagree on the BT sum\n");
       return 1;
     }
+  }
+
+  // The HD chain under every available tier, both formats: its min-scan
+  // is the kernel method that dominates chain/hybrid rows.
+  // tier_chain_identical asserts every tier returns the scalar tier's
+  // permutation on every window.
+  json.key("chain_tiers").begin_array();
+  bool chains_identical = true;
+  for (const DataFormat format : {DataFormat::kFixed8, DataFormat::kFloat32}) {
+    const auto patterns = random_patterns(window_values * kNumWindows,
+                                          value_bits(format), 19);
+    const auto window_of = [&](std::size_t w) {
+      return std::span<const std::uint32_t>(patterns)
+          .subspan(w * window_values, window_values);
+    };
+    std::vector<std::vector<std::uint32_t>> reference;
+    {
+      const ordering::ScopedKernelTier force("scalar");
+      for (std::size_t w = 0; w < kNumWindows; ++w)
+        reference.push_back(ordering::hd_chain_order(window_of(w), format));
+    }
+    for (const ordering::BtKernelBackend* backend :
+         ordering::registered_kernel_backends()) {
+      if (!backend->available()) continue;
+      const ordering::ScopedKernelTier force(backend->name());
+      for (std::size_t w = 0; w < kNumWindows; ++w)
+        if (ordering::hd_chain_order(window_of(w), format) != reference[w])
+          chains_identical = false;
+      const Measurement m = measure_windows(
+          window_values, kNumWindows, [&](std::size_t w) {
+            const auto perm = ordering::hd_chain_order(window_of(w), format);
+            return static_cast<std::uint64_t>(perm.empty() ? 0 : perm.back());
+          });
+      json.begin_object()
+          .key("name").value(backend->name())
+          .key("format").value(to_string(format))
+          .key("mvalues_per_s").value(m.mvalues_per_s)
+          .end_object();
+    }
+  }
+  json.end_array();
+  json.key("tier_chain_identical").value(chains_identical);
+  if (!chains_identical) {
+    std::fprintf(stderr,
+                 "micro_ordering: kernel tiers disagree on the HD chain\n");
+    return 1;
   }
 
   json.key("strategies").begin_array();

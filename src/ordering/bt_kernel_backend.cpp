@@ -23,41 +23,6 @@ std::unique_ptr<BtKernelBackend> make_avx2_backend();
 
 namespace {
 
-/// Tile edge for the blocked pairwise-HD matrix: a 128x128 tile of the
-/// uint8 matrix plus the two 128-value pattern slices stay well inside L1,
-/// so the quadratic fill streams through cache-resident data.
-constexpr std::size_t kHdTile = 128;
-
-/// Blocked upper-triangle fill over pre-masked values, mirrored per tile.
-/// The scalar tier's matrix; the avx2 tier vectorizes the inner row scan
-/// but keeps the same tiling and mirroring.
-void hd_matrix_blocked(std::span<const std::uint32_t> patterns,
-                       DataFormat format, std::span<std::uint8_t> out) {
-  const std::size_t n = patterns.size();
-  const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
-  // Pre-mask once: the O(n^2) fill then reads clean values. The tiled fill
-  // only touches off-diagonal entries, so the diagonal is written here —
-  // callers may hand over an uninitialized buffer.
-  std::vector<std::uint32_t> masked(n);
-  for (std::size_t i = 0; i < n; ++i) masked[i] = patterns[i] & mask;
-  for (std::size_t i = 0; i < n; ++i) out[i * n + i] = 0;
-  for (std::size_t i0 = 0; i0 < n; i0 += kHdTile) {
-    const std::size_t i1 = std::min(n, i0 + kHdTile);
-    for (std::size_t j0 = i0; j0 < n; j0 += kHdTile) {
-      const std::size_t j1 = std::min(n, j0 + kHdTile);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const std::uint32_t vi = masked[i];
-        std::uint8_t* row = out.data() + i * n;
-        for (std::size_t j = std::max(j0, i + 1); j < j1; ++j) {
-          const auto d = static_cast<std::uint8_t>(popcount32(vi ^ masked[j]));
-          row[j] = d;
-          out[j * n + i] = d;
-        }
-      }
-    }
-  }
-}
-
 class ScalarBackend final : public BtKernelBackend {
  public:
   std::string_view name() const noexcept override { return "scalar"; }
@@ -164,15 +129,30 @@ void BtKernelBackend::sequence_bt_batch(
   }
 }
 
-void BtKernelBackend::pairwise_hd_matrix(
-    std::span<const std::uint32_t> patterns, DataFormat format,
-    std::span<std::uint8_t> out) const {
-  if (out.size() != patterns.size() * patterns.size())
+void BtKernelBackend::check_live_args(std::size_t value_count,
+                                      std::size_t front_count) {
+  if (value_count != front_count)
     throw std::invalid_argument(
-        "pairwise_hd_matrix: out holds " + std::to_string(out.size()) +
-        " entries, want n*n = " +
-        std::to_string(patterns.size() * patterns.size()));
-  hd_matrix_blocked(patterns, format, out);
+        "nearest_live: " + std::to_string(value_count) + " values but " +
+        std::to_string(front_count) + " fronts");
+}
+
+std::size_t BtKernelBackend::nearest_live(
+    std::uint32_t current, std::span<const std::uint32_t> values,
+    std::span<const std::uint32_t> fronts) const {
+  check_live_args(values.size(), fronts.size());
+  std::size_t best = values.size();
+  std::uint64_t best_key = ~std::uint64_t{0};
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(popcount32(current ^ values[k])) << 32) |
+        fronts[k];
+    if (key < best_key) {
+      best_key = key;
+      best = k;
+    }
+  }
+  return best;
 }
 
 const BtKernelBackend* find_kernel_backend(std::string_view name) {

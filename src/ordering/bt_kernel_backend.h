@@ -1,12 +1,12 @@
 #pragma once
 // Vectorized bit-transition kernel tier with runtime dispatch.
 //
-// The ordering hot path — sequence-BT scoring and pairwise-HD matrices
-// over word-packed windows — dominates campaign rows and optimizer
-// evaluations now that the analytical NoC backend and the scenario cache
-// removed most simulation cost. This header turns "which machine kernel
-// counts the transitions" into a registered interface mirroring the
-// OrderingStrategy / PlacementPolicy / Optimizer registries:
+// The ordering hot path — sequence-BT scoring over word-packed windows
+// and the HD chain's nearest-value scan — dominates campaign rows and
+// optimizer evaluations now that the analytical NoC backend and the
+// scenario cache removed most simulation cost. This header turns "which
+// machine kernel counts the transitions" into a registered interface
+// mirroring the OrderingStrategy / PlacementPolicy / Optimizer registries:
 //
 //   scalar   word-packed uint64 kernels, one window per call; the
 //            portable floor every host runs
@@ -68,13 +68,14 @@ class BtKernelBackend {
                                  DataFormat format, std::size_t window_values,
                                  std::span<std::uint64_t> out) const;
 
-  /// Row-major n*n pairwise-Hamming-distance matrix into `out` (size
-  /// n*n). Only the upper triangle is computed; the lower half is
-  /// mirrored, and the diagonal is zero. The base implementation works
-  /// block-by-block in cache-resident tiles over pre-masked values.
-  virtual void pairwise_hd_matrix(std::span<const std::uint32_t> patterns,
-                                  DataFormat format,
-                                  std::span<std::uint8_t> out) const;
+  /// Min-scan of the HD chain over its live set: the position k that
+  /// minimizes (popcount(current ^ values[k]), fronts[k], k). `values`
+  /// (pre-masked) and `fronts` are parallel; returns values.size() when
+  /// they are empty. The base implementation compares a portable 64-bit
+  /// key per value, so it accepts any front.
+  [[nodiscard]] virtual std::size_t nearest_live(
+      std::uint32_t current, std::span<const std::uint32_t> values,
+      std::span<const std::uint32_t> fronts) const;
 
  protected:
   /// Shared argument validation for the batched entry points (throws
@@ -82,6 +83,9 @@ class BtKernelBackend {
   static void check_batch_args(std::size_t pattern_count,
                                std::size_t window_values,
                                std::size_t out_size);
+  /// Throws std::invalid_argument unless values and fronts are parallel.
+  static void check_live_args(std::size_t value_count,
+                              std::size_t front_count);
 };
 
 /// Registered backend by name, or nullptr. Thread-safe.

@@ -80,15 +80,6 @@ void pack_patterns_into(PackedStream& out,
 [[nodiscard]] std::uint64_t sequence_bt_reference(
     std::span<const std::uint32_t> patterns, DataFormat format);
 
-/// Row-major n*n matrix of pairwise Hamming distances between the low
-/// value_bits(format) bits of the patterns. The upper triangle is computed
-/// once (block-by-block in cache-resident tiles) and mirrored; the
-/// diagonal is zero. Entries fit uint8_t — formats wider than 255 bits are
-/// rejected with a descriptive error rather than silently truncated.
-/// Dispatches through the active kernel tier.
-[[nodiscard]] std::vector<std::uint8_t> pairwise_hd_matrix(
-    std::span<const std::uint32_t> patterns, DataFormat format);
-
 namespace detail {
 
 /// Pack patterns LSB-first into `words` (sized (n*bits + 63)/64; needs no

@@ -4,9 +4,9 @@
 // defines NOCBT_HAVE_AVX2_TU for the registry, which then registers the
 // backend; available() still gates on runtime CPUID so a binary built with
 // the TU stays runnable (auto-dispatch skips the tier) on CPUs without
-// AVX2. Everything here computes the exact same integer sums as the scalar
-// word kernels — the differential suites pin that — so tier selection can
-// never shift a campaign report.
+// AVX2. Everything here returns exactly what the scalar tier returns —
+// the differential suites pin that — so tier selection can never shift a
+// campaign report.
 //
 // Kernel shape: a window's sequence BT is sum_i popcount(v[i] ^ v[i+1])
 // over format-masked values. Values are first narrowed (fixed-8) or copied
@@ -211,58 +211,67 @@ class Avx2Backend final : public BtKernelBackend {
     }
   }
 
-  void pairwise_hd_matrix(std::span<const std::uint32_t> patterns,
-                          DataFormat format,
-                          std::span<std::uint8_t> out) const override {
-    if (out.size() != patterns.size() * patterns.size())
-      throw std::invalid_argument(
-          "pairwise_hd_matrix: out holds " + std::to_string(out.size()) +
-          " entries, want n*n = " +
-          std::to_string(patterns.size() * patterns.size()));
-    const std::size_t n = patterns.size();
-    const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
-    thread_local std::vector<std::uint32_t> masked;
-    masked.resize(n);
-    for (std::size_t i = 0; i < n; ++i) masked[i] = patterns[i] & mask;
-    // The tiled fill only touches off-diagonal entries; write the diagonal
-    // here so callers may hand over an uninitialized buffer.
-    for (std::size_t i = 0; i < n; ++i) out[i * n + i] = 0;
-    // Same 128x128 cache tiling and upper-triangle/mirror discipline as
-    // the scalar tier; the row scan vectorizes 8 distances per step.
-    constexpr std::size_t kTile = 128;
+  std::size_t nearest_live(
+      std::uint32_t current, std::span<const std::uint32_t> values,
+      std::span<const std::uint32_t> fronts) const override {
+    check_live_args(values.size(), fronts.size());
+    const std::size_t n = values.size();
+    if (n < 8) return BtKernelBackend::nearest_live(current, values, fronts);
+    // Eight values per step: u32 key (hd << 26) | front, per-lane running
+    // minimum with vpminud, and the position of each lane's minimum
+    // carried alongside. A lane keeps its first minimum, so equal keys
+    // resolve to the lowest position as in the base implementation.
+    const __m256i cur = _mm256_set1_epi32(static_cast<int>(current));
     const __m256i ones8 = _mm256_set1_epi8(1);
     const __m256i ones16 = _mm256_set1_epi16(1);
-    for (std::size_t i0 = 0; i0 < n; i0 += kTile) {
-      const std::size_t i1 = std::min(n, i0 + kTile);
-      for (std::size_t j0 = i0; j0 < n; j0 += kTile) {
-        const std::size_t j1 = std::min(n, j0 + kTile);
-        for (std::size_t i = i0; i < i1; ++i) {
-          const std::uint32_t vi = masked[i];
-          std::uint8_t* row = out.data() + i * n;
-          std::size_t j = std::max(j0, i + 1);
-          const __m256i vvi = _mm256_set1_epi32(static_cast<int>(vi));
-          for (; j + 8 <= j1; j += 8) {
-            const __m256i vj = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(masked.data() + j));
-            const __m256i cnt8 = popcount_bytes(_mm256_xor_si256(vvi, vj));
-            // Fold per-byte counts to one u32 distance per lane:
-            // maddubs sums byte pairs to u16, madd sums u16 pairs to u32.
-            const __m256i cnt32 = _mm256_madd_epi16(
-                _mm256_maddubs_epi16(cnt8, ones8), ones16);
-            // Narrow the eight u32 distances (<= 32 each) to bytes.
-            __m256i p16 = _mm256_packus_epi32(cnt32, _mm256_setzero_si256());
-            p16 = _mm256_permute4x64_epi64(p16, 0xD8);
-            const __m128i p8 = _mm_packus_epi16(_mm256_castsi256_si128(p16),
-                                                _mm_setzero_si128());
-            _mm_storel_epi64(reinterpret_cast<__m128i*>(row + j), p8);
-          }
-          for (; j < j1; ++j)
-            row[j] = static_cast<std::uint8_t>(popcount32(vi ^ masked[j]));
-          for (std::size_t m = std::max(j0, i + 1); m < j1; ++m)
-            out[m * n + i] = row[m];
-        }
-      }
+    const __m256i step = _mm256_set1_epi32(8);
+    __m256i best = _mm256_set1_epi32(-1);
+    __m256i best_pos = _mm256_setzero_si256();
+    __m256i pos = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    __m256i all_fronts = _mm256_setzero_si256();
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+      const __m256i v = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(values.data() + k));
+      const __m256i f = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(fronts.data() + k));
+      // Per-byte counts folded to one u32 distance per lane: maddubs sums
+      // byte pairs to u16, madd sums u16 pairs to u32.
+      const __m256i hd = _mm256_madd_epi16(
+          _mm256_maddubs_epi16(popcount_bytes(_mm256_xor_si256(v, cur)),
+                               ones8),
+          ones16);
+      const __m256i key = _mm256_or_si256(_mm256_slli_epi32(hd, 26), f);
+      const __m256i low = _mm256_min_epu32(best, key);
+      best_pos =
+          _mm256_blendv_epi8(pos, best_pos, _mm256_cmpeq_epi32(low, best));
+      best = low;
+      all_fronts = _mm256_or_si256(all_fronts, f);
+      pos = _mm256_add_epi32(pos, step);
     }
+    // A front of 2^26 or more would collide with the distance bits.
+    if (!_mm256_testz_si256(all_fronts, _mm256_set1_epi32(~0x3FFFFFF)))
+      return BtKernelBackend::nearest_live(current, values, fronts);
+    // Fold the lanes and the ragged tail under the base tier's 64-bit key.
+    alignas(32) std::uint32_t lane_key[8];
+    alignas(32) std::uint32_t lane_pos[8];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_key), best);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_pos), best_pos);
+    std::size_t winner = n;
+    std::uint64_t winner_key = ~std::uint64_t{0};
+    const auto offer = [&](std::uint64_t hd, std::uint32_t front,
+                           std::size_t at) {
+      const std::uint64_t key = (hd << 32) | front;
+      if (key < winner_key || (key == winner_key && at < winner)) {
+        winner_key = key;
+        winner = at;
+      }
+    };
+    for (int lane = 0; lane < 8; ++lane)
+      offer(lane_key[lane] >> 26, lane_key[lane] & 0x3FFFFFF, lane_pos[lane]);
+    for (; k < n; ++k)
+      offer(popcount32(current ^ values[k]), fronts[k], k);
+    return winner;
   }
 
  private:

@@ -1,12 +1,14 @@
 #include "ordering/strategy.h"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
 
 #include "common/bitops.h"
+#include "ordering/bt_kernel_backend.h"
 #include "ordering/bt_kernels.h"
 #include "ordering/two_flit.h"
 
@@ -66,59 +68,6 @@ std::vector<std::uint32_t> materialize_permuted(
   return values;
 }
 
-/// Greedy nearest-neighbor Hamming-distance chain: the seed is the value
-/// with the highest popcount (ties to the lowest index), each successor the
-/// unused value at minimum HD from its predecessor (ties to the lowest
-/// index). Distances come from a precomputed pairwise-HD matrix whose row
-/// scans are branch-light and cache-friendly; windows too large for an
-/// N^2 matrix fall back to on-the-fly distances with identical results.
-/// Distances only see the format's transmitted bits — stray bits above
-/// value_bits(format) never ride the link and must not steer the chain.
-constexpr std::size_t kHdMatrixMaxWindow = 4096;
-
-std::vector<std::uint32_t> hd_chain_raw(std::span<const std::uint32_t> patterns,
-                                        DataFormat format) {
-  const std::size_t n = patterns.size();
-  std::vector<std::uint32_t> perm;
-  if (n == 0) return perm;
-  perm.reserve(n);
-
-  const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
-  const bool use_matrix = n <= kHdMatrixMaxWindow;
-  const std::vector<std::uint8_t> matrix =
-      use_matrix ? pairwise_hd_matrix(patterns, format)
-                 : std::vector<std::uint8_t>{};
-
-  std::size_t current = 0;
-  for (std::size_t i = 1; i < n; ++i)
-    if (pattern_popcount(patterns[i], format) >
-        pattern_popcount(patterns[current], format))
-      current = i;
-
-  std::vector<char> used(n, 0);
-  used[current] = 1;
-  perm.push_back(static_cast<std::uint32_t>(current));
-  for (std::size_t step = 1; step < n; ++step) {
-    const std::uint8_t* row = use_matrix ? matrix.data() + current * n : nullptr;
-    std::size_t best = n;
-    int best_dist = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (used[j]) continue;
-      const int dist =
-          row ? row[j]
-              : popcount32((patterns[current] & mask) ^ (patterns[j] & mask));
-      if (best == n || dist < best_dist) {
-        best = j;
-        best_dist = dist;
-      }
-    }
-    used[best] = 1;
-    perm.push_back(static_cast<std::uint32_t>(best));
-    current = best;
-  }
-  return perm;
-}
-
 class ArrivalStrategy final : public OrderingStrategy {
  public:
   std::string_view name() const noexcept override { return "arrival"; }
@@ -168,8 +117,8 @@ class NearestNeighborChain final : public OrderingStrategy {
  public:
   std::string_view name() const noexcept override { return "chain"; }
   std::string_view description() const noexcept override {
-    return "greedy min-Hamming-distance chain over a precomputed pairwise-HD "
-           "matrix (ablation A4), with fall-back to arrival order when "
+    return "greedy min-Hamming-distance chain over the window's distinct "
+           "values (ablation A4), with fall-back to arrival order when "
            "chaining would add BT";
   }
   HardwareCost hardware_cost() const override {
@@ -183,7 +132,7 @@ class NearestNeighborChain final : public OrderingStrategy {
   bool never_worse_than_arrival() const noexcept override { return true; }
   std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
                                    DataFormat format) const override {
-    auto perm = hd_chain_raw(patterns, format);
+    auto perm = hd_chain_order(patterns, format);
     if (permuted_sequence_bt(patterns, perm, format) >
         sequence_bt(patterns, format))
       return identity_permutation(patterns.size());
@@ -199,7 +148,7 @@ class NearestNeighborChain final : public OrderingStrategy {
     for (std::size_t start = 0; start < patterns.size();
          start += window_values) {
       const std::size_t len = std::min(window_values, patterns.size() - start);
-      const auto perm = hd_chain_raw(patterns.subspan(start, len), format);
+      const auto perm = hd_chain_order(patterns.subspan(start, len), format);
       flat.insert(flat.end(), perm.begin(), perm.end());
     }
     // One batch pass scores every chained window, one (or the caller's
@@ -248,7 +197,7 @@ class HybridStrategy final : public OrderingStrategy {
       best_bt = pop_bt;
       best = std::move(pop);
     }
-    auto chain = hd_chain_raw(patterns, format);
+    auto chain = hd_chain_order(patterns, format);
     if (permuted_sequence_bt(patterns, chain, format) < best_bt)
       best = std::move(chain);
     return best;
@@ -273,7 +222,7 @@ class HybridStrategy final : public OrderingStrategy {
       const auto window = patterns.subspan(start, len);
       const auto pop = popcount_descending_order(window, format);
       pop_flat.insert(pop_flat.end(), pop.begin(), pop.end());
-      const auto chain = hd_chain_raw(window, format);
+      const auto chain = hd_chain_order(window, format);
       chain_flat.insert(chain_flat.end(), chain.begin(), chain.end());
     }
     const auto pop_bt = sequence_bt_batch(
@@ -347,6 +296,75 @@ Registry& registry() {
 }
 
 }  // namespace
+
+// The walk runs over the window's distinct masked values, not its N^2
+// pairs. Each distinct value keeps its unused indices in ascending order,
+// so its front is its lowest unused index. HD is 0 only between equal
+// values, so while the current value has an unused duplicate that front is
+// the successor. Otherwise the successor is the front of the live value
+// minimizing (HD, front) — the kernel tier's nearest_live scan — and the
+// exhausted value leaves the live set. Both rules pick exactly the
+// minimum-HD, lowest-index unused value, in O(N) memory.
+std::vector<std::uint32_t> hd_chain_order(
+    std::span<const std::uint32_t> patterns, DataFormat format) {
+  const std::size_t n = patterns.size();
+  std::vector<std::uint32_t> perm;
+  if (n == 0) return perm;
+  perm.reserve(n);
+
+  // Indices stably radix-sorted by masked value, a byte per pass: equal
+  // values end up adjacent with their indices ascending.
+  const unsigned bits = value_bits(format);
+  const auto mask = static_cast<std::uint32_t>(low_mask(bits));
+  std::vector<std::uint32_t> sorted(n), spare(n);
+  std::iota(sorted.begin(), sorted.end(), 0u);
+  for (unsigned shift = 0; shift < bits; shift += 8) {
+    std::array<std::uint32_t, 257> start{};
+    for (const std::uint32_t i : sorted)
+      ++start[((patterns[i] & mask) >> shift & 0xFFu) + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (const std::uint32_t i : sorted)
+      spare[start[(patterns[i] & mask) >> shift & 0xFFu]++] = i;
+    sorted.swap(spare);
+  }
+
+  // Live set: one slot per distinct value with its lowest unused index;
+  // next[i] is the following index holding i's value (n after the last).
+  const auto end = static_cast<std::uint32_t>(n);
+  std::vector<std::uint32_t> values, fronts, next = std::move(spare);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint32_t index = sorted[k];
+    const std::uint32_t value = patterns[index] & mask;
+    next[index] = end;
+    if (k > 0 && value == values.back()) {
+      next[sorted[k - 1]] = index;
+    } else {
+      values.push_back(value);
+      fronts.push_back(index);
+    }
+  }
+
+  std::size_t cur = 0;
+  for (std::size_t k = 1; k < values.size(); ++k) {
+    const int pk = popcount32(values[k]);
+    const int pc = popcount32(values[cur]);
+    if (pk > pc || (pk == pc && fronts[k] < fronts[cur])) cur = k;
+  }
+  const BtKernelBackend& kernel = active_kernel_backend();
+  for (;;) {
+    const std::uint32_t index = fronts[cur];
+    perm.push_back(index);
+    if (perm.size() == n) return perm;
+    fronts[cur] = next[index];
+    if (fronts[cur] != end) continue;
+    const std::uint32_t current = values[cur];
+    values[cur] = values.back();
+    values.pop_back();
+    fronts[cur] = fronts.back();
+    fronts.pop_back();
+    cur = kernel.nearest_live(current, values, fronts);
+  }
+}
 
 std::vector<std::uint32_t> OrderingStrategy::order_batch(
     std::span<const std::uint32_t> patterns, DataFormat format,

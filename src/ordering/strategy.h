@@ -20,8 +20,8 @@
 //   arrival   identity (O0 reference point)
 //   popcount  stable '1'-count descending counting sort (the paper's unit,
 //             O1/O2; Han et al.'s bucket sort computes the same order)
-//   chain     greedy min-Hamming-distance chain over a pairwise-HD matrix
-//             (ablation A4)
+//   chain     greedy min-Hamming-distance chain over the window's distinct
+//             values (ablation A4)
 //   hybrid    per-window best of {arrival, popcount, chain} by measured BT
 //   twoflit   SIII interleave x1 >= y1 >= x2 >= y2 >= ... across two flits
 //
@@ -137,6 +137,15 @@ struct PairOrder {
                                     std::span<const std::uint32_t> weights,
                                     std::span<const std::uint32_t> inputs,
                                     DataFormat format);
+
+/// The chain strategy's permutation before its arrival-order guard: the
+/// greedy nearest-neighbor Hamming-distance chain. The seed is the value
+/// with the highest popcount (ties to the lowest index); each successor is
+/// the unused value at minimum HD from its predecessor (ties to the lowest
+/// index). Distances see only the low value_bits(format) bits. The
+/// min-scan runs on the active kernel tier (BtKernelBackend::nearest_live).
+[[nodiscard]] std::vector<std::uint32_t> hd_chain_order(
+    std::span<const std::uint32_t> patterns, DataFormat format);
 
 /// Reorder a whole value stream window by window with `strategy` (the
 /// no-NoC experiment's transformation, §V-A: a window models one packet

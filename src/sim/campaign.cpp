@@ -119,9 +119,9 @@ bool operator==(const ScenarioResult& a, const ScenarioResult& b) {
          a.avg_latency == b.avg_latency && a.avg_hops == b.avg_hops &&
          a.drained == b.drained && a.sim == b.sim && a.links == b.links &&
          a.error == b.error;
-  // wall_ms_*, timing_ran and why_not are deliberately not compared: they
-  // are observability, wall-clock is nondeterministic, and which row runs
-  // a shared timing run depends on thread scheduling.
+  // wall_ms_*, timing_ran, why_not and kernel_tier are deliberately not
+  // compared: they are observability, wall-clock is nondeterministic, and
+  // which row runs a shared timing run depends on thread scheduling.
 }
 
 }  // namespace nocbt::sim

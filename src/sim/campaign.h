@@ -121,7 +121,8 @@ struct ScenarioResult {
   /// deterministic — excluded from operator==, from the golden-compared
   /// CSV/JSON reports, and from the persisted cache/journal records
   /// (cached rows replay with 0 here); surfaced via write_profile_csv
-  /// only. The fields below down to `why_not` are kept out the same way.
+  /// only. The fields below down to `kernel_tier` are kept out the same
+  /// way.
   double wall_ms_baseline = 0.0;
   double wall_ms_ordered = 0.0;
   /// Synthetic rows' stages: the schedule's timing run (0 when this row
@@ -137,6 +138,9 @@ struct ScenarioResult {
   /// Why the analytical backend was not used for the timing run (empty
   /// when it was, or when it was not attempted).
   std::string why_not;
+  /// The BtKernelBackend tier active while the row ran (empty for rows
+  /// served from a cache or journal).
+  std::string kernel_tier;
   /// Per-link measurements of the ordered run (every monitored link, in
   /// link-id order) — the rows of the heatmap CSV.
   std::vector<hw::LinkEnergyRow> links;

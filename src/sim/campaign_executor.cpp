@@ -1,5 +1,6 @@
 #include "sim/campaign_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <memory>
@@ -7,6 +8,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "sim/run_journal.h"
@@ -111,15 +113,36 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 
   // One schedule per traffic stream: the mode rows of a grid point share
   // their materialized generator output (expand() gives them one seed).
+  // Mode is an outer grid axis, so grid order would keep every stream's
+  // schedule alive at once; rows are claimed grouped by stream instead
+  // (streams in order of first appearance), which lets each schedule go
+  // as soon as its last row is done. result.rows stays in grid order.
   ScheduleCache schedules(spec.modes.size());
+  std::vector<std::size_t> claim_order(assigned.size());
+  {
+    std::unordered_map<std::string, std::size_t> stream_rank;
+    std::vector<std::size_t> rank(assigned.size());
+    for (std::size_t j = 0; j < assigned.size(); ++j) {
+      claim_order[j] = j;
+      rank[j] = stream_rank
+                    .try_emplace(schedule_key(scenarios[assigned[j]]),
+                                 stream_rank.size())
+                    .first->second;
+    }
+    std::stable_sort(claim_order.begin(), claim_order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return rank[a] < rank[b];
+                     });
+  }
   std::atomic<std::size_t> next{0};
   std::size_t done = 0;       // guarded by report_mutex
   std::mutex report_mutex;    // serializes on_result + done
   std::mutex persist_mutex;   // serializes journal appends + stat counts
   const auto worker = [&] {
     for (;;) {
-      const std::size_t j = next.fetch_add(1);
-      if (j >= assigned.size()) return;
+      const std::size_t claim = next.fetch_add(1);
+      if (claim >= assigned.size()) return;
+      const std::size_t j = claim_order[claim];
       const std::size_t i = assigned[j];
       const ScenarioSpec& scenario = scenarios[i];
       const ContentKey* key = keyed ? &keys[i] : nullptr;

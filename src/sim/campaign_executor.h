@@ -53,7 +53,9 @@ struct RunnerConfig {
   ExecutionConfig exec;
   /// Invoked after each scenario row is obtained — simulated or replayed
   /// (serialized by the runner, so the callback needs no locking of its
-  /// own). `done`/`total` count this shard's assignment.
+  /// own). `done`/`total` count this shard's assignment. With one thread
+  /// rows arrive grouped by traffic stream (schedule_key), streams in order
+  /// of first appearance and grid order within a stream.
   std::function<void(const ScenarioResult&, std::size_t done,
                      std::size_t total)>
       on_result;

@@ -68,7 +68,8 @@ std::size_t write_profile_csv(const std::string& path,
                               const CampaignResult& result) {
   (void)campaign;
   CsvWriter csv(path,
-                {"scenario", "engine", "timing", "wall_ms_baseline",
+                {"scenario", "engine", "kernel_tier", "timing",
+                 "wall_ms_baseline",
                  "wall_ms_ordered", "wall_ms_timing", "wall_ms_order",
                  "wall_ms_replay", "cycles", "cycles_stepped",
                  "idle_cycles_skipped", "components_stepped",
@@ -77,7 +78,7 @@ std::size_t write_profile_csv(const std::string& path,
     // row.sim.engine is the backend that actually ran the ordered variant
     // (auto-selection may pick analytical over the spec's cycle engine).
     csv.add_row({row.spec.name, noc::to_string(row.sim.engine),
-                 row.timing_ran ? "ran" : "shared",
+                 row.kernel_tier, row.timing_ran ? "ran" : "shared",
                  format_double(row.wall_ms_baseline, 3),
                  format_double(row.wall_ms_ordered, 3),
                  format_double(row.wall_ms_timing, 3),

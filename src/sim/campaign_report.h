@@ -20,7 +20,8 @@ std::size_t write_csv_report(const std::string& path,
                              const CampaignSpec& campaign,
                              const CampaignResult& result);
 
-/// Step-loop profile CSV: one row per scenario with the engine, whether
+/// Step-loop profile CSV: one row per scenario with the engine, the kernel
+/// tier the row's ordering ran on (empty for cache/journal rows), whether
 /// the row made its network run ("ran") or reused one ("shared": another
 /// row's timing run, or a cache/journal hit), wall-clock per variant and
 /// per stage (timing run, order+flitize, replay), deterministic step

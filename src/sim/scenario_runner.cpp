@@ -12,6 +12,7 @@
 #include "noc/analytical_engine.h"
 #include "noc/crossing_log.h"
 #include "noc/network.h"
+#include "ordering/bt_kernel_backend.h"
 #include "ordering/bt_kernels.h"
 #include "ordering/strategy.h"
 #include "sim/scenario_cache.h"
@@ -118,14 +119,23 @@ SharedSchedulePtr materialize_schedule(const ScenarioSpec& spec) {
   return schedule;
 }
 
-/// Fingerprint of every spec field the synthetic generators read, hashed
-/// like scenario_content_key (doubles by bit pattern, so rates and
-/// distribution parameters that differ past any printed precision never
-/// share a schedule). Mode, engine and name are deliberately absent:
-/// scenarios differing only in those produce byte-identical schedules and
-/// share one materialization. The network knobs left out here (VCs,
-/// buffer depth, engine choice, stall guard) select among the schedule's
-/// timing runs instead (SharedSchedule::timing).
+/// Everything one network run yields.
+struct VariantOutcome {
+  std::uint64_t bt = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t packets = 0;
+  std::uint64_t flits = 0;
+  std::uint64_t peak_backlog = 0;
+  double avg_latency = 0.0;
+  double avg_hops = 0.0;
+  bool drained = false;
+  noc::SimProfile sim;   ///< step-loop counters (deterministic)
+  double wall_ms = 0.0;  ///< model runs' host wall-clock (nondeterministic)
+  std::vector<noc::LinkObservation> links;  ///< frozen per-link counters
+};
+
+}  // namespace
+
 std::string schedule_key(const ScenarioSpec& spec) {
   StableHash h;
   h.add(to_string(spec.generator));
@@ -153,23 +163,6 @@ std::string schedule_key(const ScenarioSpec& spec) {
   h.add(spec.seed);
   return h.hex();
 }
-
-/// Everything one network run yields.
-struct VariantOutcome {
-  std::uint64_t bt = 0;
-  std::uint64_t cycles = 0;
-  std::uint64_t packets = 0;
-  std::uint64_t flits = 0;
-  std::uint64_t peak_backlog = 0;
-  double avg_latency = 0.0;
-  double avg_hops = 0.0;
-  bool drained = false;
-  noc::SimProfile sim;   ///< step-loop counters (deterministic)
-  double wall_ms = 0.0;  ///< model runs' host wall-clock (nondeterministic)
-  std::vector<noc::LinkObservation> links;  ///< frozen per-link counters
-};
-
-}  // namespace
 
 struct SharedSchedule::Timing {
   VariantOutcome o0;     ///< the O0 variant, per-link counters included
@@ -476,6 +469,7 @@ ScenarioResult run_scenario_shared(const ScenarioSpec& spec,
                                    ScheduleCache* schedules) {
   ScenarioResult result;
   result.spec = spec;
+  result.kernel_tier = ordering::active_kernel_backend().name();
   try {
     spec.validate();
     const bool baseline_is_ordered =

@@ -100,6 +100,18 @@ struct SharedSchedule {
 
 using SharedSchedulePtr = std::shared_ptr<const SharedSchedule>;
 
+/// The traffic-stream key: a fingerprint of every spec field the synthetic
+/// generators read, hashed like scenario_content_key (doubles by bit
+/// pattern, so rates and distribution parameters that differ past any
+/// printed precision never share a schedule). Mode, engine and name are
+/// deliberately absent: scenarios differing only in those produce
+/// byte-identical schedules and share one materialization. The network
+/// knobs left out here (VCs, buffer depth, engine choice, stall guard)
+/// select among the schedule's timing runs instead
+/// (SharedSchedule::timing). ScheduleCache keys on it, and run_campaign
+/// claims the rows of one key back to back.
+[[nodiscard]] std::string schedule_key(const ScenarioSpec& spec);
+
 /// Campaign-scoped schedule store: grid points that share every
 /// payload-relevant knob (all mode rows of one traffic stream — expand()
 /// derives their seeds mode-independently) generate their schedule once,

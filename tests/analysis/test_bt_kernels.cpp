@@ -114,21 +114,24 @@ TEST(SequenceBtKernel, PackedStreamLayoutIsLsbFirst) {
   }
 }
 
-TEST(PairwiseHdMatrix, MatchesDirectPopcount) {
+TEST(NearestLive, MatchesDirectScan) {
+  // The chain's min-scan through the dispatched tier: the position of the
+  // minimum (HD to `current`, front) over a live set.
+  const ordering::BtKernelBackend& kernel = ordering::active_kernel_backend();
   for (const DataFormat format : {DataFormat::kFloat32, DataFormat::kFixed8}) {
-    const auto window = random_patterns(37, value_bits(format), 99);
-    const auto matrix = ordering::pairwise_hd_matrix(window, format);
-    ASSERT_EQ(matrix.size(), window.size() * window.size());
-    for (std::size_t i = 0; i < window.size(); ++i) {
-      EXPECT_EQ(matrix[i * window.size() + i], 0u);
-      for (std::size_t j = 0; j < window.size(); ++j)
-        EXPECT_EQ(matrix[i * window.size() + j],
-                  static_cast<unsigned>(popcount32(window[i] ^ window[j])))
-            << "i=" << i << " j=" << j;
+    const auto values = random_patterns(37, value_bits(format), 99);
+    const auto fronts = random_patterns(values.size(), 20, 98);
+    const std::uint32_t current = random_patterns(1, value_bits(format), 97)[0];
+    std::size_t expected = 0;
+    for (std::size_t k = 1; k < values.size(); ++k) {
+      const int dk = popcount32(current ^ values[k]);
+      const int de = popcount32(current ^ values[expected]);
+      if (dk < de || (dk == de && fronts[k] < fronts[expected])) expected = k;
     }
+    EXPECT_EQ(kernel.nearest_live(current, values, fronts), expected)
+        << to_string(format);
   }
-  EXPECT_TRUE(
-      ordering::pairwise_hd_matrix({}, DataFormat::kFixed8).empty());
+  EXPECT_EQ(kernel.nearest_live(0, {}, {}), 0u);
 }
 
 TEST(StreamBtKernel, WordPackedMatchesPerBitReferenceAcrossWidths) {

@@ -2,7 +2,7 @@
 // Reference oracle: the greedy min-XOR chain as a naive O(N^2) scan.
 //
 // Production chaining (the registry's "chain" strategy) runs the same
-// greedy selection over a precomputed pairwise-HD matrix and guards it
+// greedy selection over the window's distinct values and guards it
 // with an arrival-order fall-back. This scan is the textbook form of the
 // unguarded chain; the differential suites pin the production permutation
 // to it on every window where chaining does not lose to arrival order.

@@ -13,12 +13,14 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.h"
 #include "common/rng.h"
 #include "ordering/bt_kernel_backend.h"
 #include "ordering/bt_kernels.h"
+#include "ordering/strategy.h"
 
 namespace nocbt::ordering {
 namespace {
@@ -211,32 +213,61 @@ TEST(KernelDifferential, BatchValidatesWindowAndOutSizes) {
   }
 }
 
-TEST(KernelDifferential, PairwiseHdMatrixMatchesDirectPopcount) {
+/// Test-local reference for nearest_live: the lexicographic minimum of
+/// (HD to `current`, front, position).
+std::size_t nearest_live_reference(std::uint32_t current,
+                                   const std::vector<std::uint32_t>& values,
+                                   const std::vector<std::uint32_t>& fronts) {
+  std::size_t best = values.size();
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    if (best == values.size()) {
+      best = k;
+      continue;
+    }
+    const int dk = popcount32(current ^ values[k]);
+    const int db = popcount32(current ^ values[best]);
+    if (dk < db || (dk == db && fronts[k] < fronts[best])) best = k;
+  }
+  return best;
+}
+
+TEST(KernelDifferential, NearestLiveMatchesScalarReference) {
   for (const BtKernelBackend* backend : registered_kernel_backends()) {
     if (!backend->available()) continue;
     for (const DataFormat format : kFormats) {
-      // 150 spans two 128-wide tiles, so inter-tile mirroring is covered.
-      for (const std::size_t n : {1u, 2u, 17u, 127u, 128u, 129u, 150u}) {
-        const auto window = random_patterns(n, value_bits(format), 1000 + n);
-        const auto mask =
-            static_cast<std::uint32_t>(low_mask(value_bits(format)));
-        std::vector<std::uint8_t> matrix(n * n, 0xEE);
-        backend->pairwise_hd_matrix(window, format, matrix);
-        for (std::size_t i = 0; i < n; ++i) {
-          for (std::size_t j = 0; j < n; ++j) {
-            const auto expected = static_cast<std::uint8_t>(
-                popcount32((window[i] & mask) ^ (window[j] & mask)));
-            ASSERT_EQ(matrix[i * n + j], expected)
-                << backend->name() << " n=" << n << " i=" << i << " j=" << j;
-            ASSERT_EQ(matrix[i * n + j], matrix[j * n + i])
-                << backend->name() << " asymmetric at " << i << "," << j;
+      const unsigned bits = value_bits(format);
+      for (const std::size_t n : kWindowSizes) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          // Distinct fronts in a shuffled order (the chain's live set); on
+          // seed 3 they cross the avx2 tier's 2^26 packed-key limit.
+          // Values are random or from a 3-value alphabet, so distances tie
+          // and the fronts decide.
+          Rng rng(seed * 7919 + n);
+          const std::uint32_t base = seed == 3 ? (1u << 26) - 8 : 0u;
+          std::vector<std::uint32_t> fronts;
+          for (std::size_t k = 0; k < n; ++k)
+            fronts.push_back(base + static_cast<std::uint32_t>(k) * 3 +
+                             static_cast<std::uint32_t>(rng.bits64() % 3));
+          for (std::size_t k = n; k > 1; --k)
+            std::swap(fronts[k - 1], fronts[rng.bits64() % k]);
+          const auto current = random_patterns(1, bits, seed)[0];
+          for (const auto& values :
+               {random_patterns(n, bits, seed * 131 + n),
+                tie_heavy_patterns(n, bits, seed * 17 + n)}) {
+            EXPECT_EQ(backend->nearest_live(current, values, fronts),
+                      nearest_live_reference(current, values, fronts))
+                << backend->name() << " n=" << n << " seed=" << seed;
           }
-          ASSERT_EQ(matrix[i * n + i], 0u) << backend->name();
+          // Equal keys (a repeated value and front) go to the lowest
+          // position in every tier.
+          const std::vector<std::uint32_t> same(n, current ^ 1u);
+          const std::vector<std::uint32_t> one_front(n, 5u);
+          EXPECT_EQ(backend->nearest_live(current, same, one_front), 0u)
+              << backend->name() << " n=" << n;
         }
       }
-      std::vector<std::uint8_t> wrong(5);
-      EXPECT_THROW(backend->pairwise_hd_matrix(random_patterns(3, 8, 1),
-                                               format, wrong),
+      EXPECT_THROW((void)backend->nearest_live(0, random_patterns(3, 8, 1),
+                                               random_patterns(2, 8, 2)),
                    std::invalid_argument)
           << backend->name();
     }
@@ -251,9 +282,9 @@ TEST(KernelFreeFunctions, DispatchedEntryPointsAreTierInvariant) {
       const ScopedKernelTier force("scalar");
       return sequence_bt_batch(patterns, format, 32);
     }();
-    const auto ref_matrix = [&] {
+    const auto ref_chain = [&] {
       const ScopedKernelTier force("scalar");
-      return pairwise_hd_matrix(std::span(patterns).first(64), format);
+      return hd_chain_order(patterns, format);
     }();
     for (const BtKernelBackend* backend : registered_kernel_backends()) {
       if (!backend->available()) continue;
@@ -261,8 +292,7 @@ TEST(KernelFreeFunctions, DispatchedEntryPointsAreTierInvariant) {
       EXPECT_EQ(sequence_bt(patterns, format), ref_bt) << backend->name();
       EXPECT_EQ(sequence_bt_batch(patterns, format, 32), ref_batch)
           << backend->name();
-      EXPECT_EQ(pairwise_hd_matrix(std::span(patterns).first(64), format),
-                ref_matrix)
+      EXPECT_EQ(hd_chain_order(patterns, format), ref_chain)
           << backend->name();
     }
   }

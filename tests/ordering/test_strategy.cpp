@@ -10,12 +10,14 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.h"
 #include "common/rng.h"
 #include "oracles/greedy_chain.h"
 #include "oracles/stable_popcount_sort.h"
+#include "ordering/bt_kernel_backend.h"
 #include "ordering/bt_kernels.h"
 #include "ordering/ordering.h"
 #include "ordering/strategy.h"
@@ -51,8 +53,7 @@ std::vector<std::uint32_t> tie_heavy_window(std::size_t n, DataFormat format,
 }
 
 /// Window lengths the differential suites sweep: every ragged placement
-/// request size (1-64), the paper's longer windows (128-512), and windows
-/// past the chain's 4096-value pairwise-matrix limit.
+/// request size (1-64) and the paper's longer windows (128-512).
 std::vector<std::size_t> differential_lengths() {
   std::vector<std::size_t> lengths;
   for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
@@ -219,8 +220,8 @@ TEST(StrategyDifferential, BucketSortMatchesPopcountSortExactly) {
 }
 
 TEST(StrategyDifferential, HdChainMatchesNaiveChainExactly) {
-  // Production chain runs the greedy selection over a precomputed HD
-  // matrix and falls back to arrival order when chaining would add BT; the
+  // Production chain runs the greedy selection over the window's distinct
+  // values and falls back to arrival order when chaining would add BT; the
   // permutation must equal the naive-scan oracle under the same guard.
   const OrderingStrategy& chain = get_strategy("chain");
   for (const DataFormat format : {DataFormat::kFloat32, DataFormat::kFixed8}) {
@@ -244,17 +245,52 @@ TEST(StrategyDifferential, HdChainMatchesNaiveChainExactly) {
             guarded_chain_oracle(dirty, DataFormat::kFixed8));
 }
 
-TEST(StrategyDifferential, HdChainMatrixFallbackMatchesBeyondThreshold) {
-  // Windows too large for the N^2 matrix use on-the-fly distances; the
-  // permutation must not change across the internal threshold (4096).
-  const OrderingStrategy& chain = get_strategy("chain");
-  for (const DataFormat format : {DataFormat::kFixed8, DataFormat::kFloat32}) {
-    for (const auto& window : {random_window(4200, format, 77),
-                               tie_heavy_window(4097, format, 78)}) {
-      const auto perm = chain.order(window, format);
-      EXPECT_TRUE(is_permutation(perm, window.size()));
-      EXPECT_EQ(perm, guarded_chain_oracle(window, format))
-          << "n=" << window.size() << " format=" << to_string(format);
+TEST(StrategyDifferential, HdChainMatchesOracleOnEveryTier) {
+  // The unguarded chain against the naive oracle under every kernel tier:
+  // lengths straddle the avx2 min-scan's 8-lane tails and reach past 4096.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (const std::size_t n : {127u, 128u, 129u, 255u, 256u, 257u, 511u, 512u,
+                              513u, 4097u, 4200u})
+    lengths.push_back(n);
+  std::vector<std::pair<std::string, std::vector<std::uint32_t>>> cases;
+  for (const std::size_t n : lengths) {
+    const std::string at = " n=" + std::to_string(n);
+    cases.emplace_back("fx8 random" + at,
+                       random_window(n, DataFormat::kFixed8, 300 + n));
+    cases.emplace_back("fx8 tie-heavy" + at,
+                       tie_heavy_window(n, DataFormat::kFixed8, 400 + n));
+    // Stray bits above the 8-bit format: only the low byte may count.
+    cases.emplace_back("fx8 stray bits" + at,
+                       random_window(n, DataFormat::kFloat32, 500 + n));
+    cases.emplace_back("fp32 random" + at,
+                       random_window(n, DataFormat::kFloat32, 600 + n));
+  }
+  for (const std::size_t n : {1u, 9u, 300u}) {
+    const std::string at = " n=" + std::to_string(n);
+    cases.emplace_back("fp32 all-equal" + at,
+                       std::vector<std::uint32_t>(n, 0x3F800000u));
+    std::vector<std::uint32_t> two(n);
+    for (std::size_t i = 0; i < n; ++i) two[i] = i % 3 == 0 ? 0xF0u : 0x0Fu;
+    cases.emplace_back("fx8 two-value" + at, two);
+    // All distinct: a shuffled ramp times an odd constant.
+    std::vector<std::uint32_t> distinct(n);
+    for (std::size_t i = 0; i < n; ++i)
+      distinct[i] = static_cast<std::uint32_t>(i * 2654435761u);
+    Rng rng(n);
+    for (std::size_t k = n; k > 1; --k)
+      std::swap(distinct[k - 1], distinct[rng.bits64() % k]);
+    cases.emplace_back("fp32 all-distinct" + at, distinct);
+  }
+  for (const auto& [label, window] : cases) {
+    const DataFormat format = label.starts_with("fp32") ? DataFormat::kFloat32
+                                                        : DataFormat::kFixed8;
+    const auto expected = greedy_min_xor_chain(window, format);
+    for (const std::string& tier : registered_kernel_backend_names()) {
+      if (!get_kernel_backend(tier).available()) continue;
+      const ScopedKernelTier force(tier);
+      ASSERT_EQ(hd_chain_order(window, format), expected)
+          << tier << " " << label;
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -11,10 +12,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "ordering/bt_kernel_backend.h"
 #include "sim/campaign.h"
 #include "sim/campaign_executor.h"
 #include "sim/campaign_report.h"
+#include "sim/scenario_runner.h"
 
 namespace nocbt::sim {
 namespace {
@@ -248,6 +252,45 @@ TEST(Campaign, OnResultSeesEveryScenario) {
   EXPECT_EQ(total_seen, result.rows.size());
 }
 
+TEST(Campaign, SerialRunClaimsEachTrafficStreamBackToBack) {
+  // Mode is an outer grid axis; one thread must still run every mode row
+  // of a traffic stream back to back (streams in order of first
+  // appearance, grid order within one), while rows and reports keep grid
+  // order.
+  CampaignSpec camp = small_campaign();
+  camp.modes = {ordering::OrderingMode::kBaseline,
+                ordering::OrderingMode::kSeparated,
+                ordering::OrderingMode::kChain};
+  camp.windows = {8, 16};
+  const auto grid = camp.expand();
+  std::vector<std::string> stream_order;  // keys by first appearance
+  for (const ScenarioSpec& s : grid)
+    if (std::find(stream_order.begin(), stream_order.end(),
+                  schedule_key(s)) == stream_order.end())
+      stream_order.push_back(schedule_key(s));
+  std::vector<std::string> expected;
+  for (const std::string& key : stream_order)
+    for (const ScenarioSpec& s : grid)
+      if (schedule_key(s) == key) expected.push_back(s.name);
+
+  RunnerConfig serial;
+  serial.threads = 1;
+  std::vector<std::string> seen;
+  serial.on_result = [&](const ScenarioResult& row, std::size_t,
+                         std::size_t) { seen.push_back(row.spec.name); };
+  const CampaignResult a = run_campaign(camp, serial);
+  EXPECT_EQ(seen, expected);
+  std::vector<std::string> grid_names;
+  for (const ScenarioSpec& s : grid) grid_names.push_back(s.name);
+  EXPECT_NE(seen, grid_names) << "the grid must interleave streams";
+  ASSERT_EQ(a.rows.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    EXPECT_EQ(a.rows[i].spec.name, grid[i].name);
+  const CampaignResult b = run_campaign(
+      camp, RunnerConfig{.threads = 3, .exec = {}, .on_result = {}});
+  EXPECT_EQ(json_report(camp, a), json_report(camp, b));
+}
+
 TEST(Campaign, BadScenarioIsContainedAsErrorRow) {
   CampaignSpec camp = small_campaign();
   camp.generators = {GeneratorKind::kReplay, GeneratorKind::kUniform};
@@ -458,7 +501,8 @@ TEST(Campaign, ProfileCsvCarriesStepLoopCounters) {
   std::string header;
   ASSERT_TRUE(std::getline(in, header));
   EXPECT_EQ(header,
-            "scenario,engine,timing,wall_ms_baseline,wall_ms_ordered,"
+            "scenario,engine,kernel_tier,timing,wall_ms_baseline,"
+            "wall_ms_ordered,"
             "wall_ms_timing,wall_ms_order,wall_ms_replay,cycles,"
             "cycles_stepped,idle_cycles_skipped,components_stepped,"
             "components_skipped,skip_ratio,why_not");
@@ -470,6 +514,7 @@ TEST(Campaign, ProfileCsvCarriesStepLoopCounters) {
 
   for (const auto& row : result.rows) {
     ASSERT_TRUE(row.error.empty()) << row.error;
+    EXPECT_EQ(row.kernel_tier, ordering::active_kernel_backend().name());
     // The active-set engine ran and skipped quiescent components; its
     // stepped+jumped cycles account for the scenario's whole drain time.
     EXPECT_EQ(row.spec.engine, noc::SimEngine::kActiveSet);
