@@ -21,6 +21,7 @@
 #include <cstring>
 #include <memory>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/bitops.h"
@@ -252,25 +253,17 @@ class Avx2Backend final : public BtKernelBackend {
     // A front of 2^26 or more would collide with the distance bits.
     if (!_mm256_testz_si256(all_fronts, _mm256_set1_epi32(~0x3FFFFFF)))
       return BtKernelBackend::nearest_live(current, values, fronts);
-    // Fold the lanes and the ragged tail under the base tier's 64-bit key.
-    alignas(32) std::uint32_t lane_key[8];
+    // Fold the lane winners and the ragged tail under the base tier's key.
     alignas(32) std::uint32_t lane_pos[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_key), best);
     _mm256_store_si256(reinterpret_cast<__m256i*>(lane_pos), best_pos);
-    std::size_t winner = n;
-    std::uint64_t winner_key = ~std::uint64_t{0};
-    const auto offer = [&](std::uint64_t hd, std::uint32_t front,
-                           std::size_t at) {
-      const std::uint64_t key = (hd << 32) | front;
-      if (key < winner_key || (key == winner_key && at < winner)) {
-        winner_key = key;
-        winner = at;
-      }
+    const auto key = [&](std::size_t at) {
+      return std::tuple(popcount32(current ^ values[at]), fronts[at], at);
     };
-    for (int lane = 0; lane < 8; ++lane)
-      offer(lane_key[lane] >> 26, lane_key[lane] & 0x3FFFFFF, lane_pos[lane]);
+    std::size_t winner = lane_pos[0];
+    for (int lane = 1; lane < 8; ++lane)
+      if (key(lane_pos[lane]) < key(winner)) winner = lane_pos[lane];
     for (; k < n; ++k)
-      offer(popcount32(current ^ values[k]), fronts[k], k);
+      if (key(k) < key(winner)) winner = k;
     return winner;
   }
 

@@ -297,14 +297,13 @@ Registry& registry() {
 
 }  // namespace
 
-// The walk runs over the window's distinct masked values, not its N^2
-// pairs. Each distinct value keeps its unused indices in ascending order,
-// so its front is its lowest unused index. HD is 0 only between equal
-// values, so while the current value has an unused duplicate that front is
-// the successor. Otherwise the successor is the front of the live value
-// minimizing (HD, front) — the kernel tier's nearest_live scan — and the
-// exhausted value leaves the live set. Both rules pick exactly the
-// minimum-HD, lowest-index unused value, in O(N) memory.
+// The walk runs over the window's distinct masked values. Each keeps its
+// unused indices in ascending order, so its front is its lowest unused
+// index. HD is 0 only between equal values: while the current value has
+// an unused duplicate, that front is the successor. Otherwise the
+// exhausted value leaves the live set and the successor is the front of
+// the live value minimizing (HD, front), the kernel tier's nearest_live
+// scan. Both rules pick the minimum-HD, lowest-index unused value.
 std::vector<std::uint32_t> hd_chain_order(
     std::span<const std::uint32_t> patterns, DataFormat format) {
   const std::size_t n = patterns.size();
@@ -312,26 +311,34 @@ std::vector<std::uint32_t> hd_chain_order(
   if (n == 0) return perm;
   perm.reserve(n);
 
+  // Per-thread scratch, reused across windows; only perm is returned.
+  thread_local std::vector<std::uint32_t> sorted, next, values, fronts;
+  sorted.resize(n);
+  next.resize(n);
+  values.clear();
+  fronts.clear();
+
   // Indices stably radix-sorted by masked value, a byte per pass: equal
-  // values end up adjacent with their indices ascending.
+  // values end up adjacent with their indices ascending. A byte all values
+  // share would leave the order as it is, so that pass stops after its
+  // count.
   const unsigned bits = value_bits(format);
   const auto mask = static_cast<std::uint32_t>(low_mask(bits));
-  std::vector<std::uint32_t> sorted(n), spare(n);
   std::iota(sorted.begin(), sorted.end(), 0u);
   for (unsigned shift = 0; shift < bits; shift += 8) {
     std::array<std::uint32_t, 257> start{};
     for (const std::uint32_t i : sorted)
       ++start[((patterns[i] & mask) >> shift & 0xFFu) + 1];
+    if (start[((patterns[0] & mask) >> shift & 0xFFu) + 1] == n) continue;
     std::partial_sum(start.begin(), start.end(), start.begin());
     for (const std::uint32_t i : sorted)
-      spare[start[(patterns[i] & mask) >> shift & 0xFFu]++] = i;
-    sorted.swap(spare);
+      next[start[(patterns[i] & mask) >> shift & 0xFFu]++] = i;
+    sorted.swap(next);
   }
 
   // Live set: one slot per distinct value with its lowest unused index;
   // next[i] is the following index holding i's value (n after the last).
   const auto end = static_cast<std::uint32_t>(n);
-  std::vector<std::uint32_t> values, fronts, next = std::move(spare);
   for (std::size_t k = 0; k < n; ++k) {
     const std::uint32_t index = sorted[k];
     const std::uint32_t value = patterns[index] & mask;

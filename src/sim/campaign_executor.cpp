@@ -46,6 +46,33 @@ std::string to_string(const ShardSpec& shard) {
   return std::to_string(shard.index) + "/" + std::to_string(shard.count);
 }
 
+std::vector<std::size_t> stream_claim_order(
+    const std::vector<std::string>& keys, std::size_t pool) {
+  std::vector<std::vector<std::size_t>> streams;
+  std::unordered_map<std::string, std::size_t> stream_of;
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    const auto [it, fresh] = stream_of.try_emplace(keys[j], streams.size());
+    if (fresh) streams.emplace_back();
+    streams[it->second].push_back(j);
+  }
+  const std::size_t block = pool < 1 ? 1 : pool;
+  std::vector<std::size_t> order;
+  order.reserve(keys.size());
+  for (std::size_t first = 0; first < streams.size(); first += block) {
+    const std::size_t last = std::min(streams.size(), first + block);
+    for (std::size_t r = 0;; ++r) {
+      bool taken = false;
+      for (std::size_t s = first; s < last; ++s)
+        if (r < streams[s].size()) {
+          order.push_back(streams[s][r]);
+          taken = true;
+        }
+      if (!taken) break;
+    }
+  }
+  return order;
+}
+
 CampaignResult run_campaign(const CampaignSpec& spec,
                             const RunnerConfig& runner) {
   const ExecutionConfig& exec = runner.exec;
@@ -113,27 +140,19 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 
   // One schedule per traffic stream: the mode rows of a grid point share
   // their materialized generator output (expand() gives them one seed).
-  // Mode is an outer grid axis, so grid order would keep every stream's
-  // schedule alive at once; rows are claimed grouped by stream instead
-  // (streams in order of first appearance), which lets each schedule go
-  // as soon as its last row is done. result.rows stays in grid order.
+  // Rows are claimed in stream_claim_order, so only a few streams'
+  // schedules are alive at once; result.rows stays in grid order.
+  const std::size_t want = runner.threads < 1 ? 1 : runner.threads;
+  const std::size_t pool =
+      assigned.size() < want ? (assigned.empty() ? 1 : assigned.size())
+                             : want;
   ScheduleCache schedules(spec.modes.size());
-  std::vector<std::size_t> claim_order(assigned.size());
-  {
-    std::unordered_map<std::string, std::size_t> stream_rank;
-    std::vector<std::size_t> rank(assigned.size());
-    for (std::size_t j = 0; j < assigned.size(); ++j) {
-      claim_order[j] = j;
-      rank[j] = stream_rank
-                    .try_emplace(schedule_key(scenarios[assigned[j]]),
-                                 stream_rank.size())
-                    .first->second;
-    }
-    std::stable_sort(claim_order.begin(), claim_order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return rank[a] < rank[b];
-                     });
-  }
+  std::vector<std::string> stream_keys;
+  stream_keys.reserve(assigned.size());
+  for (const std::size_t i : assigned)
+    stream_keys.push_back(schedule_key(scenarios[i]));
+  const std::vector<std::size_t> claim_order =
+      stream_claim_order(stream_keys, pool);
   std::atomic<std::size_t> next{0};
   std::size_t done = 0;       // guarded by report_mutex
   std::mutex report_mutex;    // serializes on_result + done
@@ -141,7 +160,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   const auto worker = [&] {
     for (;;) {
       const std::size_t claim = next.fetch_add(1);
-      if (claim >= assigned.size()) return;
+      if (claim >= claim_order.size()) return;
       const std::size_t j = claim_order[claim];
       const std::size_t i = assigned[j];
       const ScenarioSpec& scenario = scenarios[i];
@@ -185,10 +204,6 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
   };
 
-  const std::size_t want = runner.threads < 1 ? 1 : runner.threads;
-  const std::size_t pool =
-      assigned.size() < want ? (assigned.empty() ? 1 : assigned.size())
-                             : want;
   if (pool <= 1) {
     worker();
   } else {

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/campaign.h"
 
@@ -53,13 +54,26 @@ struct RunnerConfig {
   ExecutionConfig exec;
   /// Invoked after each scenario row is obtained — simulated or replayed
   /// (serialized by the runner, so the callback needs no locking of its
-  /// own). `done`/`total` count this shard's assignment. With one thread
-  /// rows arrive grouped by traffic stream (schedule_key), streams in order
-  /// of first appearance and grid order within a stream.
+  /// own). `done`/`total` count this shard's assignment. Rows are
+  /// claimed in stream_claim_order, so with one thread they arrive grouped
+  /// by traffic stream, streams in order of first appearance.
   std::function<void(const ScenarioResult&, std::size_t done,
                      std::size_t total)>
       on_result;
 };
+
+/// The order in which run_campaign's `pool` workers claim rows, as
+/// positions into `keys`, the rows' schedule_key values in grid order.
+/// Streams (distinct keys, in order of first appearance) are taken `pool`
+/// at a time and the rows of such a block are interleaved round-robin,
+/// each stream's rows in grid order. The first claims of a block start
+/// `pool` different streams' schedules and timing runs at once, their mode
+/// rows then spread over every worker, and only about two blocks of
+/// schedules are alive at a time (grid order, where mode is an outer axis,
+/// keeps every stream's schedule alive until its last mode row). With one
+/// worker each stream's rows run back to back.
+[[nodiscard]] std::vector<std::size_t> stream_claim_order(
+    const std::vector<std::string>& keys, std::size_t pool);
 
 /// Run (this shard of) the sweep. Returns the assigned rows in grid order
 /// plus how each was obtained; stats.warnings carries non-fatal

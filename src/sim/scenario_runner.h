@@ -109,7 +109,7 @@ using SharedSchedulePtr = std::shared_ptr<const SharedSchedule>;
 /// knobs left out here (VCs, buffer depth, engine choice, stall guard)
 /// select among the schedule's timing runs instead
 /// (SharedSchedule::timing). ScheduleCache keys on it, and run_campaign
-/// claims the rows of one key back to back.
+/// groups its row claims by it (stream_claim_order).
 [[nodiscard]] std::string schedule_key(const ScenarioSpec& spec);
 
 /// Campaign-scoped schedule store: grid points that share every

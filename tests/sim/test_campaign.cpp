@@ -291,6 +291,21 @@ TEST(Campaign, SerialRunClaimsEachTrafficStreamBackToBack) {
   EXPECT_EQ(json_report(camp, a), json_report(camp, b));
 }
 
+TEST(Campaign, StreamClaimOrderInterleavesOneBlockOfStreamsPerPool) {
+  // Grid order with mode as the outer axis: streams a, b, c, twice.
+  const std::vector<std::string> grid{"a", "b", "c", "a", "b", "c"};
+  using Order = std::vector<std::size_t>;
+  EXPECT_EQ(stream_claim_order(grid, 1), (Order{0, 3, 1, 4, 2, 5}));
+  EXPECT_EQ(stream_claim_order(grid, 0), (Order{0, 3, 1, 4, 2, 5}));
+  EXPECT_EQ(stream_claim_order(grid, 2), (Order{0, 1, 3, 4, 2, 5}));
+  EXPECT_EQ(stream_claim_order(grid, 3), (Order{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(stream_claim_order(grid, 8), (Order{0, 1, 2, 3, 4, 5}));
+  // Streams of unequal length (a shard's slice of the grid).
+  EXPECT_EQ(stream_claim_order({"a", "b", "a", "c", "a"}, 2),
+            (Order{0, 1, 2, 4, 3}));
+  EXPECT_TRUE(stream_claim_order({}, 4).empty());
+}
+
 TEST(Campaign, BadScenarioIsContainedAsErrorRow) {
   CampaignSpec camp = small_campaign();
   camp.generators = {GeneratorKind::kReplay, GeneratorKind::kUniform};
