@@ -19,7 +19,8 @@ namespace {
 /// kept, 26 with 3 and 22 with all kept. Against the previous
 /// two-simulation runner, keeping all raised the coopt_shared_cache peak
 /// RSS by 21% and keeping 2 by 8-11%, past the benchmark's 10% bound;
-/// keeping 1 by 1-2%.
+/// keeping 1 by 1-2%. The timing runs of as many packet fingerprints are
+/// kept, so a move between formats at one placed point reuses the run.
 constexpr std::size_t kScheduleCacheEntries = 1;
 
 }  // namespace
@@ -32,7 +33,7 @@ Evaluator::Evaluator(sim::CampaignSpec base,
     : base_(std::move(base)),
       cache_(std::move(cache)),
       schedules_(std::numeric_limits<std::size_t>::max(),
-                 kScheduleCacheEntries) {
+                 kScheduleCacheEntries, kScheduleCacheEntries) {
   if (base_.generators.size() != 1)
     throw std::invalid_argument(
         "Evaluator: the campaign template must hold exactly one generator, "

@@ -127,13 +127,16 @@ struct ScenarioResult {
   double wall_ms_ordered = 0.0;
   /// Synthetic rows' stages: the schedule's timing run (0 when this row
   /// shared another row's), ordering + flitization of the ordered
-  /// variant, and its replay over the timing run's crossing log.
+  /// variant, and its replay over the timing run's crossing log — plus,
+  /// on the row that made it, the O0 replay of a schedule whose timing
+  /// run another format's schedule made.
   double wall_ms_timing = 0.0;
   double wall_ms_order = 0.0;
   double wall_ms_replay = 0.0;
   /// True when this row made the network run it reports (always for model
   /// rows, which simulate both variants); false when it shared the timing
-  /// run another row of its schedule made, or was served from a cache.
+  /// run another row made — of its schedule, or of a schedule with the
+  /// same packets in another payload format — or was served from a cache.
   bool timing_ran = false;
   /// Why the analytical backend was not used for the timing run (empty
   /// when it was, or when it was not attempted).

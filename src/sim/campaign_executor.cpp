@@ -141,16 +141,24 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // One schedule per traffic stream: the mode rows of a grid point share
   // their materialized generator output (expand() gives them one seed).
   // Rows are claimed in stream_claim_order, so only a few streams'
-  // schedules are alive at once; result.rows stays in grid order.
+  // schedules are alive at once; result.rows stays in grid order. Each
+  // schedule is dropped after its last row in this shard's slice, however
+  // that row was obtained, and the timing runs of the latest `pool`
+  // packet fingerprints outlive their schedules for the streams that
+  // share them (a placed model's other format).
   const std::size_t want = runner.threads < 1 ? 1 : runner.threads;
   const std::size_t pool =
       assigned.size() < want ? (assigned.empty() ? 1 : assigned.size())
                              : want;
-  ScheduleCache schedules(spec.modes.size());
+  ScheduleCache schedules(spec.modes.size(), 0, pool);
   std::vector<std::string> stream_keys;
   stream_keys.reserve(assigned.size());
-  for (const std::size_t i : assigned)
+  std::unordered_map<std::string, std::size_t> stream_rows;
+  for (const std::size_t i : assigned) {
     stream_keys.push_back(schedule_key(scenarios[i]));
+    ++stream_rows[stream_keys.back()];
+  }
+  for (const auto& [key, rows] : stream_rows) schedules.expect(key, rows);
   const std::vector<std::size_t> claim_order =
       stream_claim_order(stream_keys, pool);
   std::atomic<std::size_t> next{0};
@@ -183,6 +191,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       const bool simulated = !row.has_value();
       if (simulated)
         row = run_scenario_shared(scenario, spec.hooks, &schedules);
+      else
+        schedules.release(stream_keys[j]);
 
       {
         const std::lock_guard<std::mutex> lock(persist_mutex);

@@ -1,6 +1,7 @@
 #include "sim/scenario_runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 #include <stdexcept>
 #include <utility>
@@ -74,7 +75,7 @@ PayloadBatch build_payload_batch(const SharedSchedule& sched,
   payloads.flits.reserve(flits);
   payloads.packet_flits.reserve(reqs.size());
   if (!reqs.empty()) {
-    const SharedSchedule::Derived& d = sched.derived(format);
+    const SharedSchedule::Derived& d = sched.derived();
     if (d.uniform) {
       const ordering::OrderingStrategy& strategy =
           ordering::mode_strategy(mode);
@@ -112,11 +113,28 @@ PayloadBatch build_payload_batch(const SharedSchedule& sched,
   return payloads;
 }
 
-SharedSchedulePtr materialize_schedule(const ScenarioSpec& spec) {
+InjectionSchedule generate_schedule(const ScenarioSpec& spec) {
   auto gen = make_generator(spec);
-  auto schedule = std::make_shared<SharedSchedule>();
-  while (auto req = gen->next()) schedule->requests.push_back(std::move(*req));
-  return schedule;
+  InjectionSchedule requests;
+  while (auto req = gen->next()) requests.push_back(std::move(*req));
+  return requests;
+}
+
+/// What the network sees of a schedule: every request's (cycle, src, dst,
+/// flit count). Payload values and value width do not enter, so the
+/// fixed-8 and float-32 schedules of one placed model hash alike.
+std::string packet_fingerprint(const ScenarioSpec& spec,
+                               const InjectionSchedule& requests) {
+  const accel::FlitLayout layout{spec.values_per_flit, value_bits(spec.format)};
+  StableHash h;
+  for (const InjectionRequest& req : requests) {
+    h.add(req.cycle);
+    h.add(req.src);
+    h.add(req.dst);
+    h.add(accel::flits_needed(static_cast<std::uint32_t>(req.weights.size()),
+                              false, layout));
+  }
+  return h.hex();
 }
 
 /// Everything one network run yields.
@@ -165,9 +183,23 @@ std::string schedule_key(const ScenarioSpec& spec) {
 }
 
 struct SharedSchedule::Timing {
-  VariantOutcome o0;     ///< the O0 variant, per-link counters included
-  noc::CrossingLog log;  ///< empty when the run hit the stall guard
-  std::string why_not;   ///< analytical rejection reason
+  VariantOutcome o0;  ///< the O0 variant, per-link counters included
+  /// Empty when the run hit the stall guard.
+  std::shared_ptr<const noc::CrossingLog> log;
+  std::string why_not;  ///< analytical rejection reason
+  /// SharedSchedule::serial_ of the schedule whose payloads o0 carries.
+  std::uint64_t payloads = 0;
+};
+
+struct SharedSchedule::TimingSet {
+  struct Slot {
+    noc::NocConfig noc;  ///< flit_payload_bits zeroed: not compared
+    bool engine_auto = true;
+    std::uint64_t max_cycles = 0;
+    std::shared_future<TimingPtr> timing;
+  };
+  std::mutex mutex;
+  std::vector<Slot> slots;
 };
 
 namespace {
@@ -310,12 +342,17 @@ bool run_analytical_variant(const ScenarioSpec& spec,
 /// first; a rejection is recorded in why_not and, under auto, the spec's
 /// cycle engine runs instead.
 SharedSchedule::TimingPtr run_timing(const ScenarioSpec& spec,
-                                     const SharedSchedule& schedule) {
+                                     const SharedSchedule& schedule,
+                                     std::uint64_t payloads) {
   auto timing = std::make_shared<SharedSchedule::Timing>();
+  timing->payloads = payloads;
+  noc::CrossingLog log;
   if (spec.engine_auto || spec.engine == noc::SimEngine::kAnalytical) {
-    if (run_analytical_variant(spec, schedule.requests, timing->o0,
-                               timing->log, timing->why_not))
+    if (run_analytical_variant(spec, schedule.requests, timing->o0, log,
+                               timing->why_not)) {
+      timing->log = std::make_shared<const noc::CrossingLog>(std::move(log));
       return timing;
+    }
     if (!spec.engine_auto)
       throw std::runtime_error(
           "engine=analytical cannot evaluate this schedule exactly: " +
@@ -327,13 +364,30 @@ SharedSchedule::TimingPtr run_timing(const ScenarioSpec& spec,
   ScenarioSpec cyc = spec;
   if (cyc.engine == noc::SimEngine::kAnalytical)
     cyc.engine = noc::SimEngine::kActiveSet;
-  timing->o0 = run_traffic_variant(cyc, schedule.requests, timing->log);
+  timing->o0 = run_traffic_variant(cyc, schedule.requests, log);
+  timing->log = std::make_shared<const noc::CrossingLog>(std::move(log));
   return timing;
 }
 
+/// `payloads` charged over a drained timing run's crossing log, on a BT
+/// recorder sized by `spec`'s own payload width. Everything but the BT and
+/// per-link counters is the timing run's. The log's per-packet flit-count
+/// check rejects payloads that do not match the run's packets.
+VariantOutcome replay(const ScenarioSpec& spec, const PayloadBatch& payloads,
+                      const SharedSchedule::Timing& timing) {
+  const noc::NocConfig cfg = spec.noc_config();
+  noc::BtRecorder bt(cfg.bt_scope, cfg.flit_payload_bits);
+  for (const noc::LinkObservation& link : timing.o0.links)
+    bt.register_link(link.info);
+  timing.log->replay(payloads.flits, payloads.packet_flits, bt);
+  VariantOutcome out = timing.o0;
+  out.bt = bt.total();
+  out.links = bt.snapshot();
+  return out;
+}
+
 /// The ordered variant of a drained timing run: flitize the schedule under
-/// spec.mode and charge it over the timing run's crossing log. Everything
-/// but the BT and per-link counters is the timing run's.
+/// spec.mode and charge it over the timing run's crossing log.
 VariantOutcome replay_ordered(const ScenarioSpec& spec,
                               const SharedSchedule& schedule,
                               const SharedSchedule::Timing& timing,
@@ -345,51 +399,112 @@ VariantOutcome replay_ordered(const ScenarioSpec& spec,
                           timing.o0.flits);
   result.wall_ms_order = timer.millis();
   timer.restart();
-  const noc::NocConfig cfg = spec.noc_config();
-  noc::BtRecorder bt(cfg.bt_scope, cfg.flit_payload_bits);
-  for (const noc::LinkObservation& link : timing.o0.links)
-    bt.register_link(link.info);
-  timing.log.replay(payloads.flits, payloads.packet_flits, bt);
-  VariantOutcome out = timing.o0;
-  out.bt = bt.total();
-  out.links = bt.snapshot();
-  result.wall_ms_replay = timer.millis();
+  VariantOutcome out = replay(spec, payloads, timing);
+  result.wall_ms_replay += timer.millis();
   return out;
 }
 
+/// `schedule`'s own view of a drained run another schedule's payloads
+/// made: its O0 payloads replayed over the run's crossing log.
+SharedSchedule::TimingPtr replay_baseline(const ScenarioSpec& spec,
+                                          const SharedSchedule& schedule,
+                                          const SharedSchedule::Timing& run,
+                                          std::uint64_t payloads) {
+  PayloadBatch batch;
+  batch.flits.reserve(run.o0.flits);
+  batch.packet_flits.reserve(schedule.requests.size());
+  for (const InjectionRequest& req : schedule.requests)
+    batch.add(baseline_payloads(req, spec));
+  auto view = std::make_shared<SharedSchedule::Timing>(run);
+  view->o0 = replay(spec, batch, run);
+  view->payloads = payloads;
+  return view;
+}
+
+std::atomic<std::uint64_t> next_schedule_serial{1};
+
 }  // namespace
 
+SharedSchedule::SharedSchedule(InjectionSchedule requests, DataFormat format,
+                               std::shared_ptr<TimingSet> timings)
+    : requests(std::move(requests)),
+      format(format),
+      timings_(timings ? std::move(timings) : std::make_shared<TimingSet>()),
+      serial_(next_schedule_serial.fetch_add(1)) {}
+
 SharedSchedule::TimingPtr SharedSchedule::timing(const ScenarioSpec& spec,
-                                                 bool& ran) const {
-  const noc::NocConfig noc = spec.noc_config();
+                                                 ScenarioResult& row) const {
+  noc::NocConfig noc = spec.noc_config();
+  noc.flit_payload_bits = 0;  // sizes only the BT recorder
   std::promise<TimingPtr> mine;
   std::shared_future<TimingPtr> fut;
-  ran = false;
+  row.timing_ran = false;
   {
-    const std::lock_guard<std::mutex> lock(timing_mutex_);
-    for (const TimingSlot& slot : timings_)
+    const std::lock_guard<std::mutex> lock(timings_->mutex);
+    for (const TimingSet::Slot& slot : timings_->slots)
       if (slot.noc == noc && slot.engine_auto == spec.engine_auto &&
           slot.max_cycles == spec.max_cycles)
         fut = slot.timing;
     if (!fut.valid()) {
-      ran = true;
+      row.timing_ran = true;
       fut = mine.get_future().share();
-      timings_.push_back(
-          TimingSlot{noc, spec.engine_auto, spec.max_cycles, fut});
+      timings_->slots.push_back(
+          TimingSet::Slot{noc, spec.engine_auto, spec.max_cycles, fut});
     }
   }
-  if (ran) {
+  if (row.timing_ran) {
+    const noc::WallTimer timer;
     try {
-      mine.set_value(run_timing(spec, *this));
+      mine.set_value(run_timing(spec, *this, serial_));
     } catch (...) {
       mine.set_exception(std::current_exception());
     }
+    row.wall_ms_timing = timer.millis();
   }
-  return fut.get();  // rethrows a failed run to every sharer
+  const TimingPtr run = fut.get();  // rethrows a failed run to every sharer
+  row.why_not = run->why_not;
+  // A stalled run has no log, and its rows carry no payload measurement.
+  if (run->payloads == serial_ || !run->o0.drained) return run;
+
+  // The set holds `run` for this schedule's lifetime, so its address
+  // names it.
+  std::promise<TimingPtr> view;
+  bool build = false;
+  {
+    const std::lock_guard<std::mutex> lock(views_mutex_);
+    const auto it =
+        std::find_if(views_.begin(), views_.end(),
+                     [&](const auto& v) { return v.first == run.get(); });
+    build = it == views_.end();
+    if (build) {
+      fut = view.get_future().share();
+      views_.emplace_back(run.get(), fut);
+    } else {
+      fut = it->second;
+    }
+  }
+  if (build) {
+    const noc::WallTimer timer;
+    try {
+      view.set_value(replay_baseline(spec, *this, *run, serial_));
+    } catch (...) {
+      view.set_exception(std::current_exception());
+    }
+    row.wall_ms_replay += timer.millis();
+  }
+  return fut.get();
 }
 
 const SharedSchedule::Derived& SharedSchedule::derived(
     DataFormat format) const {
+  if (format != this->format)
+    throw std::invalid_argument(
+        "SharedSchedule::derived: asked for " + to_string(format) +
+        " inputs of a " + to_string(this->format) + " schedule");
+  return derived();
+}
+
+const SharedSchedule::Derived& SharedSchedule::derived() const {
   std::call_once(once_, [&] {
     Derived d;
     const std::size_t wv =
@@ -426,6 +541,42 @@ const SharedSchedule::Derived& SharedSchedule::derived(
   return derived_;
 }
 
+void ScheduleCache::expect(const std::string& key, std::size_t uses) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  entries_[key].remaining = uses;
+}
+
+void ScheduleCache::use(std::unordered_map<std::string, Entry>::iterator it) {
+  if (it->second.remaining <= 1)
+    entries_.erase(it);  // a shared_future keeps the schedule alive
+  else
+    --it->second.remaining;
+}
+
+void ScheduleCache::release(const std::string& key) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries_.find(key);
+  if (it != entries_.end()) use(it);
+}
+
+std::shared_ptr<SharedSchedule::TimingSet> ScheduleCache::timing_set(
+    const std::string& fingerprint) {
+  std::shared_ptr<SharedSchedule::TimingSet> set;
+  const auto it =
+      std::find_if(recent_sets_.begin(), recent_sets_.end(),
+                   [&](const auto& r) { return r.first == fingerprint; });
+  if (it != recent_sets_.end()) {
+    set = std::move(it->second);
+    recent_sets_.erase(it);
+  } else {
+    set = std::make_shared<SharedSchedule::TimingSet>();
+    if (recent_sets_.size() >= timing_sets_)
+      recent_sets_.erase(recent_sets_.begin());  // the least recent
+  }
+  recent_sets_.emplace_back(fingerprint, set);
+  return set;
+}
+
 SharedSchedulePtr ScheduleCache::get(const ScenarioSpec& spec) {
   const std::string key = schedule_key(spec);
   std::promise<SharedSchedulePtr> mine;
@@ -433,24 +584,33 @@ SharedSchedulePtr ScheduleCache::get(const ScenarioSpec& spec) {
   bool owner = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(key);
+    auto it = entries_.find(key);
     if (it == entries_.end()) {
       if (max_entries_ > 0 && entries_.size() >= max_entries_)
         entries_.erase(std::min_element(
             entries_.begin(), entries_.end(), [](const auto& a, const auto& b) {
               return a.second.last_use < b.second.last_use;
             }));
-      owner = true;
-      fut = mine.get_future().share();
-      entries_.emplace(key, Entry{fut, uses_per_key_, ++clock_});
-    } else {
-      it->second.last_use = ++clock_;
-      fut = it->second.future;
+      it = entries_.emplace(key, Entry{{}, uses_per_key_, 0}).first;
     }
+    it->second.last_use = ++clock_;
+    if (!it->second.future.valid()) {
+      owner = true;
+      it->second.future = mine.get_future().share();
+    }
+    fut = it->second.future;
   }
   if (owner) {
     try {
-      mine.set_value(materialize_schedule(spec));
+      InjectionSchedule requests = generate_schedule(spec);
+      const std::string fingerprint = packet_fingerprint(spec, requests);
+      std::shared_ptr<SharedSchedule::TimingSet> timings;
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        timings = timing_set(fingerprint);
+      }
+      mine.set_value(std::make_shared<const SharedSchedule>(
+          std::move(requests), spec.format, std::move(timings)));
     } catch (...) {
       mine.set_exception(std::current_exception());
     }
@@ -458,8 +618,7 @@ SharedSchedulePtr ScheduleCache::get(const ScenarioSpec& spec) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
-    if (it != entries_.end() && --it->second.remaining == 0)
-      entries_.erase(it);  // shared_future keeps the state alive
+    if (it != entries_.end()) use(it);
   }
   return fut.get();  // rethrows a materialization failure to every sharer
 }
@@ -497,20 +656,21 @@ ScenarioResult run_scenario_shared(const ScenarioSpec& spec,
       result.wall_ms_ordered = ordered.wall_ms;
     } else {
       const SharedSchedulePtr schedule =
-          schedules ? schedules->get(spec) : materialize_schedule(spec);
-      const noc::WallTimer timer;
-      const SharedSchedule::TimingPtr timing =
-          schedule->timing(spec, result.timing_ran);
-      if (result.timing_ran) result.wall_ms_timing = timer.millis();
-      result.why_not = timing->why_not;
+          schedules ? schedules->get(spec)
+                    : std::make_shared<const SharedSchedule>(
+                          generate_schedule(spec), spec.format);
+      const SharedSchedule::TimingPtr timing = schedule->timing(spec, result);
+      // timing() charges the O0 replay it made, if any, to wall_ms_replay.
+      const double baseline_replay_ms = result.wall_ms_replay;
       baseline = timing->o0;
       // A stalled timing run has no crossing log; its ordered variant
       // stalls identically.
       ordered = baseline_is_ordered || !timing->o0.drained
                     ? timing->o0
                     : replay_ordered(spec, *schedule, *timing, result);
-      result.wall_ms_baseline = result.wall_ms_timing;
-      result.wall_ms_ordered = result.wall_ms_order + result.wall_ms_replay;
+      result.wall_ms_baseline = result.wall_ms_timing + baseline_replay_ms;
+      result.wall_ms_ordered =
+          result.wall_ms_order + result.wall_ms_replay - baseline_replay_ms;
     }
     result.bt_baseline = baseline.bt;
     result.bt_ordered = ordered.bt;

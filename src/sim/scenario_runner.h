@@ -11,12 +11,15 @@
 // once per network config — with its O0 payloads, which makes that run the
 // baseline variant too — and records every link's crossing order
 // (noc::CrossingLog). The ordered variant is then flitized and replayed
-// over that log, with no network. Synthetic schedules under engine=auto
-// are first evaluated by the zero-load analytical backend and keep that
-// result when it is proven exact, falling back to the requested cycle
-// engine otherwise. Model scenarios run two full inferences through
-// NocDnaPlatform instead, which is how bench/fig12_noc_sizes reproduces its
-// paper figure through this engine.
+// over that log, with no network. Schedules whose packets time identically
+// in another payload format (a placed model's fixed-8 and float-32
+// streams) share that run, each replaying its own O0 payloads over it.
+// Synthetic schedules under engine=auto are first evaluated by the
+// zero-load analytical backend and keep that result when it is proven
+// exact, falling back to the requested cycle engine otherwise. Model
+// scenarios run two full inferences through NocDnaPlatform instead, which
+// is how bench/fig12_noc_sizes reproduces its paper figure through this
+// engine.
 
 #include <cstdint>
 #include <future>
@@ -24,6 +27,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/data_format.h"
@@ -46,9 +50,22 @@ using InjectionSchedule = std::vector<InjectionRequest>;
 /// scenario. The request list is immutable after materialization; the
 /// derived block is built lazily on the first ordered variant and then
 /// shared, through the campaign ScheduleCache, across every mode row of a
-/// grid point — as is the schedule's timing run.
+/// traffic stream. Timing runs are shared wider, through the schedule's
+/// TimingSet: every schedule whose packets the network sees identically,
+/// whatever their payload format.
 struct SharedSchedule {
+  struct Timing;     ///< one network run; defined in scenario_runner.cpp
+  struct TimingSet;  ///< the runs of one packet fingerprint; ditto
+  using TimingPtr = std::shared_ptr<const Timing>;
+
+  /// `timings` is the set this schedule's timing runs go to and come from
+  /// (ScheduleCache shares one between schedules of equal fingerprint);
+  /// null gives the schedule a set of its own.
+  SharedSchedule(InjectionSchedule requests, DataFormat format,
+                 std::shared_ptr<TimingSet> timings = nullptr);
+
   InjectionSchedule requests;
+  DataFormat format;  ///< the format of the requests' payload values
 
   struct Derived {
     /// True when every request carries equally-sized weight/input windows
@@ -65,37 +82,43 @@ struct SharedSchedule {
     std::vector<std::uint64_t> inputs_bt;
   };
 
-  /// Derived block, built exactly once (thread-safe). The schedule cache
-  /// key pins the format, so every caller passes the same one.
+  /// Derived block, built exactly once (thread-safe), under `format`.
+  [[nodiscard]] const Derived& derived() const;
+  /// derived() for callers that name the format; throws
+  /// std::invalid_argument when it is not the schedule's own.
   [[nodiscard]] const Derived& derived(DataFormat format) const;
 
-  /// One network run of the schedule carrying its O0 payloads: every
-  /// payload-independent measurement, the O0 BT and per-link counters,
-  /// and the crossing log that scores any other ordering of the schedule.
-  /// Defined in scenario_runner.cpp.
-  struct Timing;
-  using TimingPtr = std::shared_ptr<const Timing>;
-
-  /// The timing for `spec`'s network. The schedule key leaves out the
-  /// fields that shape the network but not the traffic (VCs, buffer
-  /// depth, engine choice, stall guard), so each distinct noc_config(),
-  /// engine_auto and max_cycles gets its own run, made once (thread-safe:
+  /// The network run that scores `spec`'s rows of this schedule: every
+  /// payload-independent measurement, the O0 BT and per-link counters of
+  /// *this* schedule's payloads, and the crossing log that scores any
+  /// other ordering of them.
+  ///
+  /// Runs live in the schedule's TimingSet, one per distinct
+  /// (noc_config() without flit_payload_bits, engine_auto, max_cycles):
+  /// the schedule key leaves out the network knobs that do not shape the
+  /// traffic (VCs, buffer depth, engine choice, stall guard), and payload
+  /// width only sizes the BT recorder. Each run is made once (thread-safe:
   /// concurrent callers wait for the first one's run and share it, its
-  /// failure included). `ran` is set for the caller that made the run.
-  [[nodiscard]] TimingPtr timing(const ScenarioSpec& spec, bool& ran) const;
+  /// failure included). A run made with another schedule's payloads — the
+  /// same packets in another format — gets this schedule's O0 BT and
+  /// per-link counters by replaying its O0 payloads over the run's
+  /// crossing log, once per schedule and run. Fills `row`'s timing_ran,
+  /// wall_ms_timing (when this call made the run), wall_ms_replay (that O0
+  /// replay, when this call made it) and why_not.
+  [[nodiscard]] TimingPtr timing(const ScenarioSpec& spec,
+                                 ScenarioResult& row) const;
 
  private:
   mutable std::once_flag once_;
   mutable Derived derived_;
-
-  struct TimingSlot {
-    noc::NocConfig noc;
-    bool engine_auto = true;
-    std::uint64_t max_cycles = 0;
-    std::shared_future<TimingPtr> timing;
-  };
-  mutable std::mutex timing_mutex_;
-  mutable std::vector<TimingSlot> timings_;
+  std::shared_ptr<TimingSet> timings_;
+  /// Identifies this schedule's payloads to the runs it makes (addresses
+  /// are reused once a schedule is freed; serials are not).
+  std::uint64_t serial_;
+  /// This schedule's O0 view of runs another schedule made, by run.
+  mutable std::mutex views_mutex_;
+  mutable std::vector<std::pair<const Timing*, std::shared_future<TimingPtr>>>
+      views_;
 };
 
 using SharedSchedulePtr = std::shared_ptr<const SharedSchedule>;
@@ -105,9 +128,9 @@ using SharedSchedulePtr = std::shared_ptr<const SharedSchedule>;
 /// pattern, so rates and distribution parameters that differ past any
 /// printed precision never share a schedule). Mode, engine and name are
 /// deliberately absent: scenarios differing only in those produce
-/// byte-identical schedules and share one materialization. The network
-/// knobs left out here (VCs, buffer depth, engine choice, stall guard)
-/// select among the schedule's timing runs instead
+/// byte-identical schedules and share one materialization. The key keeps
+/// `format` (it decides the payload values), so timing runs are not
+/// shared through it but through the packet fingerprint
 /// (SharedSchedule::timing). ScheduleCache keys on it, and run_campaign
 /// groups its row claims by it (stream_claim_order).
 [[nodiscard]] std::string schedule_key(const ScenarioSpec& spec);
@@ -117,30 +140,65 @@ using SharedSchedulePtr = std::shared_ptr<const SharedSchedule>;
 /// derives their seeds mode-independently) generate their schedule once,
 /// and with it the SharedSchedule::Derived ordering inputs. Thread-safe;
 /// the first worker to request a key materializes it while later workers
-/// block on the shared future. Entries are dropped after `uses_per_key`
-/// lookups (one per mode row) to bound campaign memory, and — when
-/// `max_entries` is non-zero — the least recently used entry is dropped to
-/// make room for a new key beyond that many. A dropped schedule lives on
-/// while a caller still holds it; a later lookup of its key rebuilds it.
+/// block on the shared future. An entry is dropped once its key has seen
+/// all its lookups — get() or release() calls: `uses_per_key` of them
+/// (one per mode row), or the count expect() set for the key — to bound
+/// campaign memory, and — when `max_entries` is non-zero — the least
+/// recently used entry is dropped to make room for a new key beyond that
+/// many (expect() counts are for stores without that bound). A dropped
+/// schedule lives on while a caller still holds it; a later lookup of its
+/// key rebuilds it.
+///
+/// Each materialization fingerprints the packets the network will see —
+/// every request's (cycle, src, dst, flit count), the flit count under
+/// the spec's FlitLayout — and hands the schedule the TimingSet of that
+/// fingerprint, so the fixed-8 and float-32 schedules of one placed model
+/// make one timing run. The store keeps the sets of the `timing_sets`
+/// most recently materialized fingerprints alive after their schedules
+/// are dropped (run_campaign passes its worker count, so a stream's run
+/// outlives it until the next `threads` fingerprints arrive); a set also
+/// lives while a schedule holds it.
 class ScheduleCache {
  public:
-  explicit ScheduleCache(std::size_t uses_per_key, std::size_t max_entries = 0)
+  explicit ScheduleCache(std::size_t uses_per_key, std::size_t max_entries = 0,
+                         std::size_t timing_sets = 1)
       : uses_per_key_(uses_per_key < 1 ? 1 : uses_per_key),
-        max_entries_(max_entries) {}
+        max_entries_(max_entries),
+        timing_sets_(timing_sets < 1 ? 1 : timing_sets) {}
+
+  /// `key` (a schedule_key) will see `uses` lookups in all, instead of
+  /// `uses_per_key`. Call before its first lookup.
+  void expect(const std::string& key, std::size_t uses);
 
   [[nodiscard]] SharedSchedulePtr get(const ScenarioSpec& spec);
 
+  /// Count a lookup of `key` whose row was obtained elsewhere (a journal
+  /// or the scenario cache), without materializing the schedule.
+  void release(const std::string& key);
+
  private:
   struct Entry {
-    std::shared_future<SharedSchedulePtr> future;
+    std::shared_future<SharedSchedulePtr> future;  ///< invalid until a get()
     std::size_t remaining = 0;
     std::uint64_t last_use = 0;  ///< lookup clock at the latest get()
   };
+  /// Count one lookup of the entry at `it`, dropping it after its last.
+  void use(std::unordered_map<std::string, Entry>::iterator it);
+  /// The timing set of a fingerprint, now the most recent one.
+  std::shared_ptr<SharedSchedule::TimingSet> timing_set(
+      const std::string& fingerprint);
+
   std::size_t uses_per_key_;
   std::size_t max_entries_;
+  std::size_t timing_sets_;
   std::mutex mutex_;
   std::unordered_map<std::string, Entry> entries_;
   std::uint64_t clock_ = 0;  ///< lookups so far (guarded by mutex_)
+  /// The sets of the latest fingerprints, most recent last (guarded by
+  /// mutex_; at most timing_sets_ entries).
+  std::vector<std::pair<std::string,
+                        std::shared_ptr<SharedSchedule::TimingSet>>>
+      recent_sets_;
 };
 
 /// Run one already-expanded scenario (both ordering variants).

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -350,6 +351,52 @@ TEST(ScheduleCache, EntryLimitDropsTheLeastRecentlyUsedSchedule) {
     EXPECT_EQ(b2->requests[i].weights, b1->requests[i].weights);
   }
   EXPECT_EQ(cache.get(a).get(), a1.get());
+}
+
+TEST(ScheduleCache, UnevenExpectedUsesDropEachScheduleAfterItsLastLookup) {
+  // A shard's slice (or a journal or cache serving some rows) leaves each
+  // stream its own number of lookups; every schedule must go after its
+  // last one, get() or release(), not linger until the store does.
+  ScenarioSpec a = synthetic_spec();
+  ScenarioSpec b = a;
+  b.seed += 1;
+  ScenarioSpec c = a;
+  c.seed += 2;
+  ScheduleCache cache(5);
+  cache.expect(schedule_key(a), 1);
+  cache.expect(schedule_key(b), 3);
+  cache.expect(schedule_key(c), 2);
+
+  const std::weak_ptr<const SharedSchedule> wa = cache.get(a);
+  EXPECT_TRUE(wa.expired()) << "a's only lookup must drop it";
+
+  SharedSchedulePtr b1 = cache.get(b);
+  cache.release(schedule_key(b));  // a row served from elsewhere
+  EXPECT_EQ(cache.get(b).get(), b1.get());
+  const std::weak_ptr<const SharedSchedule> wb = b1;
+  b1.reset();
+  EXPECT_TRUE(wb.expired()) << "b saw get, release, get: three of three";
+
+  // A release before any get counts too, without materializing.
+  cache.release(schedule_key(c));
+  const std::weak_ptr<const SharedSchedule> wc = cache.get(c);
+  EXPECT_TRUE(wc.expired());
+
+  // Keys without an expected count keep the store-wide one.
+  ScenarioSpec d = a;
+  d.seed += 3;
+  const SharedSchedulePtr d1 = cache.get(d);
+  for (int k = 0; k < 3; ++k) EXPECT_EQ(cache.get(d).get(), d1.get());
+}
+
+TEST(ScheduleCache, DerivedInputsAreTheSchedulesOwnFormat) {
+  ScenarioSpec spec = synthetic_spec();
+  spec.format = DataFormat::kFixed8;
+  ScheduleCache cache(2);
+  const SharedSchedulePtr s = cache.get(spec);
+  EXPECT_EQ(s->format, DataFormat::kFixed8);
+  EXPECT_EQ(&s->derived(DataFormat::kFixed8), &s->derived());
+  EXPECT_THROW((void)s->derived(DataFormat::kFloat32), std::invalid_argument);
 }
 
 }  // namespace

@@ -516,6 +516,141 @@ TEST(TimingReplay, ConcurrentRowsShareOneTimingRunDeterministically) {
   EXPECT_EQ(ran, 1u);  // eight rows raced for one timing run
 }
 
+// ---- one timing run across payload formats --------------------------------
+
+/// A fixed-8 + float-32 placed campaign of `model`.
+CampaignSpec placed_two_formats(const std::string& model) {
+  CampaignSpec camp;
+  camp.name = "formats/" + model;
+  camp.root_seed = 11;
+  camp.generators = {GeneratorKind::kPlacement};
+  camp.formats = {DataFormat::kFixed8, DataFormat::kFloat32};
+  camp.modes = {OrderingMode::kBaseline, OrderingMode::kSeparated,
+                OrderingMode::kChain, OrderingMode::kTwoFlit};
+  camp.meshes = {MeshSpec{4, 4, 2}};
+  camp.windows = {32};
+  camp.base.model = model;
+  camp.base.placement = "rowmajor";
+  camp.base.tiles_per_layer = 2;
+  camp.base.model_seed = 5;
+  return camp;
+}
+
+/// Rows of `result` that made their network run.
+std::size_t timing_runs(const CampaignResult& result) {
+  std::size_t ran = 0;
+  for (const ScenarioResult& row : result.rows) ran += row.timing_ran ? 1 : 0;
+  return ran;
+}
+
+/// Every row of `result` equals its scenario run on its own.
+void expect_rows_match_standalone(const CampaignSpec& camp,
+                                  const CampaignResult& result) {
+  const std::vector<ScenarioSpec> grid = camp.expand();
+  ASSERT_EQ(result.rows.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const ScenarioResult alone = run_scenario(grid[i], ModelHooks{});
+    EXPECT_TRUE(result.rows[i] == alone) << grid[i].name;
+    EXPECT_EQ(result.rows[i].why_not, alone.why_not) << grid[i].name;
+  }
+}
+
+TEST(TimingAcrossFormats, PlacedFormatsShareOneTimingRun) {
+  for (const std::string model : {"lenet", "mobile"}) {
+    CampaignSpec camp = placed_two_formats(model);
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(model + " threads=" + std::to_string(threads));
+      // Four threads take both windows' two streams in one block.
+      camp.windows = threads == 1 ? std::vector<std::uint32_t>{32}
+                                  : std::vector<std::uint32_t>{32, 64};
+      const CampaignResult result = run_campaign(
+          camp, RunnerConfig{.threads = threads, .exec = {}, .on_result = {}});
+      EXPECT_EQ(timing_runs(result), camp.windows.size());
+      expect_rows_match_standalone(camp, result);
+      // The formats really carry different payloads: the float-32 rows'
+      // O0 BT is their own, not the fixed-8 run's.
+      const std::size_t per_format = result.rows.size() / 2;
+      for (std::size_t i = 0; i < per_format; ++i) {
+        const ScenarioResult& fx8 = result.rows[i];
+        const ScenarioResult& fp32 = result.rows[per_format + i];
+        ASSERT_EQ(fx8.spec.format, DataFormat::kFixed8);
+        ASSERT_EQ(fp32.spec.format, DataFormat::kFloat32);
+        EXPECT_EQ(fx8.cycles, fp32.cycles);
+        EXPECT_NE(fx8.bt_baseline, fp32.bt_baseline);
+      }
+    }
+  }
+}
+
+TEST(TimingAcrossFormats, SyntheticFormatsKeepTheirOwnRuns) {
+  // expand() seeds each format's stream differently, so the packets
+  // differ and so do the fingerprints.
+  CampaignSpec camp;
+  camp.name = "formats/uniform";
+  camp.root_seed = 3;
+  camp.formats = {DataFormat::kFixed8, DataFormat::kFloat32};
+  camp.modes = {OrderingMode::kSeparated, OrderingMode::kChain};
+  camp.meshes = {MeshSpec{4, 4, 2}};
+  camp.windows = {24};
+  camp.base.packets = 40;
+  camp.base.injection_rate = 0.6;
+  const CampaignResult result = run_campaign(camp);
+  EXPECT_EQ(timing_runs(result), 2u);
+  expect_rows_match_standalone(camp, result);
+}
+
+TEST(TimingAcrossFormats, FlitCountsSplitTheFingerprint) {
+  // Same seed and format, so the same requests pair for pair — but 8
+  // values per flit make 6-flit packets where 16 make 3. Sharing a run
+  // would fail replay's flit-count check; each gets its own.
+  ScenarioSpec wide = base_spec(GeneratorKind::kUniform);
+  wide.mode = OrderingMode::kSeparated;
+  ScenarioSpec narrow = wide;
+  narrow.values_per_flit = 8;
+  const std::vector<InjectionRequest> a = generate(wide);
+  const std::vector<InjectionRequest> b = generate(narrow);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].cycle, b[i].cycle);
+    ASSERT_EQ(a[i].src, b[i].src);
+    ASSERT_EQ(a[i].dst, b[i].dst);
+    ASSERT_EQ(a[i].weights, b[i].weights);
+  }
+  ScheduleCache schedules(8, 0, 4);
+  const ScenarioResult ra = run_scenario_shared(wide, ModelHooks{}, &schedules);
+  const ScenarioResult rb =
+      run_scenario_shared(narrow, ModelHooks{}, &schedules);
+  EXPECT_TRUE(ra.timing_ran);
+  EXPECT_TRUE(rb.timing_ran);
+  expect_same_row(ra, oracle_row(wide));
+  expect_same_row(rb, oracle_row(narrow));
+}
+
+TEST(TimingAcrossFormats, SharedFailureAndStallReachBothFormats) {
+  // Placed layers inject in bursts: forced analytical fails them.
+  CampaignSpec forced = placed_two_formats("lenet");
+  forced.base.engine_auto = false;
+  forced.base.engine = noc::SimEngine::kAnalytical;
+  CampaignSpec stalled = placed_two_formats("lenet");
+  stalled.base.engine_auto = false;
+  stalled.base.max_cycles = 3;
+  for (const CampaignSpec* camp : {&forced, &stalled}) {
+    SCOPED_TRACE(camp == &forced ? "forced analytical" : "stall guard");
+    const CampaignResult result = run_campaign(*camp);
+    EXPECT_EQ(timing_runs(result), 1u);
+    expect_rows_match_standalone(*camp, result);
+    for (const ScenarioResult& row : result.rows) {
+      EXPECT_FALSE(row.error.empty()) << row.spec.name;
+      EXPECT_FALSE(row.drained) << row.spec.name;
+    }
+    const std::string first = result.rows.front().error;
+    if (camp == &forced) {
+      for (const ScenarioResult& row : result.rows)
+        EXPECT_EQ(row.error, first);  // the message names no scenario
+    }
+  }
+}
+
 // ---- the crossing log itself ------------------------------------------------
 
 /// Random single-source payloads of `flits` flits each.
