@@ -78,10 +78,9 @@ class Evaluator {
   std::shared_ptr<sim::ScenarioCache> cache_;
   /// Search-scoped schedule store: candidates differing only in ordering
   /// mode (and any knob absent from the schedule key) share one
-  /// materialized schedule plus its derived batched-ordering inputs and
-  /// its timing run, so a mode sweep at a fixed grid point pays the
-  /// traffic generation, the network run and the arrival-BT kernel passes
-  /// once. Retention is bounded by recency (kScheduleCacheEntries in
+  /// materialized schedule and its timing run, so a mode sweep at a fixed
+  /// grid point pays the traffic generation and the network run once.
+  /// Retention is bounded by recency (kScheduleCacheEntries in
   /// evaluator.cpp): a search may touch many schedules, each holding its
   /// requests and timing run.
   sim::ScheduleCache schedules_;

@@ -106,17 +106,14 @@ std::vector<std::uint64_t> sequence_bt_batch(
 
 std::uint64_t permuted_sequence_bt(std::span<const std::uint32_t> patterns,
                                    std::span<const std::uint32_t> perm,
-                                   DataFormat format) noexcept {
-  if (perm.size() < 2) return 0;
-  const auto mask = static_cast<std::uint32_t>(low_mask(value_bits(format)));
-  std::uint64_t total = 0;
-  std::uint32_t prev = patterns[perm[0]] & mask;
-  for (std::size_t i = 1; i < perm.size(); ++i) {
-    const std::uint32_t cur = patterns[perm[i]] & mask;
-    total += static_cast<std::uint64_t>(popcount32(prev ^ cur));
-    prev = cur;
-  }
-  return total;
+                                   DataFormat format) {
+  // Scored on the kernel tier: a scalar XOR-popcount loop here costs one
+  // libgcc popcount call per value, since this file is built without
+  // -mpopcnt. The per-thread copy stops allocating once it has grown.
+  thread_local std::vector<std::uint32_t> ordered;
+  ordered.resize(perm.size());
+  for (std::size_t i = 0; i < perm.size(); ++i) ordered[i] = patterns[perm[i]];
+  return sequence_bt(ordered, format);
 }
 
 std::uint64_t sequence_bt_reference(std::span<const std::uint32_t> patterns,

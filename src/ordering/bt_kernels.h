@@ -69,10 +69,11 @@ void pack_patterns_into(PackedStream& out,
     std::size_t window_values);
 
 /// Same total as sequence_bt for the stream patterns[perm[0]],
-/// patterns[perm[1]], ... without materializing the permuted copy.
+/// patterns[perm[1]], ...: the permuted window is gathered into
+/// per-thread scratch and scored through the active kernel tier.
 [[nodiscard]] std::uint64_t permuted_sequence_bt(
     std::span<const std::uint32_t> patterns,
-    std::span<const std::uint32_t> perm, DataFormat format) noexcept;
+    std::span<const std::uint32_t> perm, DataFormat format);
 
 /// Naive per-bit reference implementation of sequence_bt. Differential
 /// tests pin every kernel tier byte-identical to this; micro_ordering

@@ -22,52 +22,6 @@ std::vector<std::uint32_t> identity_permutation(std::size_t n) {
   return perm;
 }
 
-/// Shared argument validation for order_batch (window count derives from
-/// the span; an arrival-BT hint must cover every window exactly).
-std::size_t check_order_batch_args(std::size_t pattern_count,
-                                   std::size_t window_values,
-                                   std::size_t hint_size) {
-  if (window_values == 0)
-    throw std::invalid_argument("order_batch: window_values == 0");
-  const std::size_t windows =
-      (pattern_count + window_values - 1) / window_values;
-  if (hint_size != 0 && hint_size != windows)
-    throw std::invalid_argument(
-        "order_batch: arrival_bt hint holds " + std::to_string(hint_size) +
-        " entries but the span forms " + std::to_string(windows) +
-        " windows");
-  return windows;
-}
-
-/// Arrival-order sequence BTs for every window: the caller's hint when
-/// provided (one batch pass shared across mode rows), else one batch pass
-/// here. `store` keeps the computed values alive.
-std::span<const std::uint64_t> arrival_bts(
-    std::span<const std::uint32_t> patterns, DataFormat format,
-    std::size_t window_values, std::span<const std::uint64_t> hint,
-    std::vector<std::uint64_t>& store) {
-  if (!hint.empty() || patterns.empty()) return hint;
-  store = sequence_bt_batch(patterns, format, window_values);
-  return store;
-}
-
-/// Apply concatenated window-local permutations (the order_batch return
-/// layout) to the values themselves: the flat candidate stream one batch
-/// BT pass scores, window for window, identically to scoring each window
-/// through permuted_sequence_bt.
-std::vector<std::uint32_t> materialize_permuted(
-    std::span<const std::uint32_t> patterns,
-    std::span<const std::uint32_t> flat_perm, std::size_t window_values) {
-  std::vector<std::uint32_t> values(patterns.size());
-  for (std::size_t start = 0; start < patterns.size();
-       start += window_values) {
-    const std::size_t len = std::min(window_values, patterns.size() - start);
-    for (std::size_t k = 0; k < len; ++k)
-      values[start + k] = patterns[start + flat_perm[start + k]];
-  }
-  return values;
-}
-
 class ArrivalStrategy final : public OrderingStrategy {
  public:
   std::string_view name() const noexcept override { return "arrival"; }
@@ -81,17 +35,6 @@ class ArrivalStrategy final : public OrderingStrategy {
   std::vector<std::uint32_t> order(std::span<const std::uint32_t> patterns,
                                    DataFormat) const override {
     return identity_permutation(patterns.size());
-  }
-  std::vector<std::uint32_t> order_batch(
-      std::span<const std::uint32_t> patterns, DataFormat,
-      std::size_t window_values,
-      std::span<const std::uint64_t> arrival_bt) const override {
-    check_order_batch_args(patterns.size(), window_values, arrival_bt.size());
-    // One flat identity ramp per window, no per-window allocations.
-    std::vector<std::uint32_t> flat(patterns.size());
-    for (std::size_t i = 0; i < flat.size(); ++i)
-      flat[i] = static_cast<std::uint32_t>(i % window_values);
-    return flat;
   }
 };
 
@@ -138,36 +81,6 @@ class NearestNeighborChain final : public OrderingStrategy {
       return identity_permutation(patterns.size());
     return perm;
   }
-  std::vector<std::uint32_t> order_batch(
-      std::span<const std::uint32_t> patterns, DataFormat format,
-      std::size_t window_values,
-      std::span<const std::uint64_t> arrival_bt) const override {
-    check_order_batch_args(patterns.size(), window_values, arrival_bt.size());
-    std::vector<std::uint32_t> flat;
-    flat.reserve(patterns.size());
-    for (std::size_t start = 0; start < patterns.size();
-         start += window_values) {
-      const std::size_t len = std::min(window_values, patterns.size() - start);
-      const auto perm = hd_chain_order(patterns.subspan(start, len), format);
-      flat.insert(flat.end(), perm.begin(), perm.end());
-    }
-    // One batch pass scores every chained window, one (or the caller's
-    // hint) scores arrival order; the same `>` comparison as order()
-    // triggers the identity fall-back on exactly the same windows.
-    std::vector<std::uint64_t> abt_store;
-    const auto abt =
-        arrival_bts(patterns, format, window_values, arrival_bt, abt_store);
-    const auto chained = materialize_permuted(patterns, flat, window_values);
-    const auto cbt = sequence_bt_batch(chained, format, window_values);
-    for (std::size_t w = 0; w < cbt.size(); ++w) {
-      if (cbt[w] <= abt[w]) continue;
-      const std::size_t start = w * window_values;
-      const std::size_t len = std::min(window_values, patterns.size() - start);
-      for (std::size_t k = 0; k < len; ++k)
-        flat[start + k] = static_cast<std::uint32_t>(k);
-    }
-    return flat;
-  }
 };
 
 class HybridStrategy final : public OrderingStrategy {
@@ -201,53 +114,6 @@ class HybridStrategy final : public OrderingStrategy {
     if (permuted_sequence_bt(patterns, chain, format) < best_bt)
       best = std::move(chain);
     return best;
-  }
-  std::vector<std::uint32_t> order_batch(
-      std::span<const std::uint32_t> patterns, DataFormat format,
-      std::size_t window_values,
-      std::span<const std::uint64_t> arrival_bt) const override {
-    check_order_batch_args(patterns.size(), window_values, arrival_bt.size());
-    std::vector<std::uint64_t> abt_store;
-    const auto abt =
-        arrival_bts(patterns, format, window_values, arrival_bt, abt_store);
-    // Build both candidate orderings for every window, then score each
-    // candidate stream in one batch pass instead of two kernel calls per
-    // window.
-    std::vector<std::uint32_t> pop_flat, chain_flat;
-    pop_flat.reserve(patterns.size());
-    chain_flat.reserve(patterns.size());
-    for (std::size_t start = 0; start < patterns.size();
-         start += window_values) {
-      const std::size_t len = std::min(window_values, patterns.size() - start);
-      const auto window = patterns.subspan(start, len);
-      const auto pop = popcount_descending_order(window, format);
-      pop_flat.insert(pop_flat.end(), pop.begin(), pop.end());
-      const auto chain = hd_chain_order(window, format);
-      chain_flat.insert(chain_flat.end(), chain.begin(), chain.end());
-    }
-    const auto pop_bt = sequence_bt_batch(
-        materialize_permuted(patterns, pop_flat, window_values), format,
-        window_values);
-    const auto chain_bt = sequence_bt_batch(
-        materialize_permuted(patterns, chain_flat, window_values), format,
-        window_values);
-    // Same strict-< cascade as order(): arrival wins ties over popcount,
-    // popcount wins ties over the chain (cheaper circuit first).
-    std::vector<std::uint32_t> flat(patterns.size());
-    for (std::size_t w = 0; w < pop_bt.size(); ++w) {
-      const std::size_t start = w * window_values;
-      const std::size_t len = std::min(window_values, patterns.size() - start);
-      std::uint64_t best_bt = abt[w];
-      const std::uint32_t* src = nullptr;  // identity
-      if (pop_bt[w] < best_bt) {
-        best_bt = pop_bt[w];
-        src = pop_flat.data() + start;
-      }
-      if (chain_bt[w] < best_bt) src = chain_flat.data() + start;
-      for (std::size_t k = 0; k < len; ++k)
-        flat[start + k] = src ? src[k] : static_cast<std::uint32_t>(k);
-    }
-    return flat;
   }
 };
 
@@ -373,10 +239,21 @@ std::vector<std::uint32_t> hd_chain_order(
   }
 }
 
+// The arrival_bt hint is size-checked and otherwise unused. Only the
+// benchmark's traced replay (e2ebench/e2e_campaign.cpp) still passes it,
+// and the benchmark's sources change only together with the benchmark.
 std::vector<std::uint32_t> OrderingStrategy::order_batch(
     std::span<const std::uint32_t> patterns, DataFormat format,
     std::size_t window_values, std::span<const std::uint64_t> arrival_bt) const {
-  check_order_batch_args(patterns.size(), window_values, arrival_bt.size());
+  if (window_values == 0)
+    throw std::invalid_argument("order_batch: window_values == 0");
+  const std::size_t windows =
+      (patterns.size() + window_values - 1) / window_values;
+  if (!arrival_bt.empty() && arrival_bt.size() != windows)
+    throw std::invalid_argument(
+        "order_batch: arrival_bt hint holds " +
+        std::to_string(arrival_bt.size()) + " entries but the span forms " +
+        std::to_string(windows) + " windows");
   std::vector<std::uint32_t> flat;
   flat.reserve(patterns.size());
   for (std::size_t start = 0; start < patterns.size();
@@ -457,20 +334,26 @@ const OrderingStrategy& mode_strategy(OrderingMode mode) {
 
 PairOrder order_pairs(OrderingMode mode,
                       std::span<const std::uint32_t> weights,
-                      std::span<const std::uint32_t> inputs,
-                      DataFormat format) {
+                      std::span<const std::uint32_t> inputs, DataFormat format,
+                      PairOrder reuse) {
   if (weights.size() != inputs.size())
     throw std::invalid_argument(
         "order_pairs: " + std::to_string(weights.size()) + " weights but " +
         std::to_string(inputs.size()) + " inputs");
-  if (mode_is_baseline(mode))
-    return {identity_permutation(weights.size()),
-            identity_permutation(inputs.size())};
+  PairOrder& order = reuse;
+  if (mode_is_baseline(mode)) {
+    order.weights.resize(weights.size());
+    std::iota(order.weights.begin(), order.weights.end(), 0u);
+    order.inputs = order.weights;
+    return reuse;
+  }
   const OrderingStrategy& strategy = mode_strategy(mode);
-  PairOrder order{strategy.order(weights, format), {}};
-  order.inputs = mode_is_separated(mode) ? strategy.order(inputs, format)
-                                         : order.weights;
-  return order;
+  order.weights = strategy.order(weights, format);
+  if (mode_is_separated(mode))
+    order.inputs = strategy.order(inputs, format);
+  else
+    order.inputs = order.weights;
+  return reuse;
 }
 
 std::vector<std::uint32_t> order_stream_with(
@@ -478,10 +361,16 @@ std::vector<std::uint32_t> order_stream_with(
     DataFormat format, std::size_t window_values) {
   if (window_values == 0)
     throw std::invalid_argument("order_stream_with: window_values == 0");
-  // One order_batch call: chain-class/hybrid strategies score all windows
-  // through batched kernel passes rather than one kernel call per window.
-  const auto flat = strategy.order_batch(patterns, format, window_values);
-  return materialize_permuted(patterns, flat, window_values);
+  std::vector<std::uint32_t> out(patterns.size());
+  for (std::size_t start = 0; start < patterns.size();
+       start += window_values) {
+    const std::size_t len = std::min(window_values, patterns.size() - start);
+    const auto window = patterns.subspan(start, len);
+    const auto perm = strategy.order(window, format);
+    for (std::size_t k = 0; k < perm.size(); ++k)
+      out[start + k] = window[perm[k]];
+  }
+  return out;
 }
 
 }  // namespace nocbt::ordering

@@ -29,6 +29,11 @@
 // sequence BT versus arrival order (they fall back to the identity
 // permutation when the chained order would be worse), which is the
 // invariant the property suite asserts for every chain-class strategy.
+//
+// Strategies order one window per call, as the paper's unit orders one
+// packet: the campaign runner and the packet builder order every request
+// through order_pairs(), and order_batch()/order_stream_with() are loops
+// over order().
 
 #include <cstdint>
 #include <memory>
@@ -67,25 +72,15 @@ class OrderingStrategy {
   [[nodiscard]] virtual std::vector<std::uint32_t> order(
       std::span<const std::uint32_t> patterns, DataFormat format) const = 0;
 
-  /// Batched entry point: `patterns` holds consecutive window_values-sized
-  /// windows (the last may be ragged — one window per campaign injection
-  /// request, or every window of a stream). Returns the concatenated
-  /// window-local permutations: window w occupies the output range
+  /// order() over consecutive window_values-sized windows of `patterns`
+  /// (the last may be ragged). Returns the concatenated window-local
+  /// permutations: window w occupies the output range
   /// [w * window_values, w * window_values + len_w), holding exactly what
   /// order() returns for that window.
   ///
-  /// The default loops order() per window; chain-class and hybrid
-  /// strategies override it to push all their sequence-BT scoring through
-  /// one BtKernelBackend batch pass per candidate ordering instead of one
-  /// kernel call per window.
-  ///
-  /// `arrival_bt` optionally carries precomputed arrival-order sequence
-  /// BTs, one per window (the campaign runner shares one batch pass across
-  /// every mode row of a grid point). Empty means "compute them here";
-  /// non-empty spans must hold exactly one entry per window. Since every
-  /// kernel tier returns identical sums, the hint can never change the
-  /// chosen permutations.
-  [[nodiscard]] virtual std::vector<std::uint32_t> order_batch(
+  /// `arrival_bt` must be empty or hold exactly one entry per window
+  /// (std::invalid_argument otherwise); it never changes the result.
+  [[nodiscard]] std::vector<std::uint32_t> order_batch(
       std::span<const std::uint32_t> patterns, DataFormat format,
       std::size_t window_values,
       std::span<const std::uint64_t> arrival_bt = {}) const;
@@ -132,11 +127,13 @@ struct PairOrder {
 /// order; separated (O2) orders each stream with the mode's strategy;
 /// every other mode orders the weights and moves each input with its
 /// weight (affiliated pairing). Throws std::invalid_argument when the two
-/// windows differ in length.
+/// windows differ in length. `reuse` lends its buffers to the result, so
+/// a caller that passes back the previous window's order allocates no
+/// more than the permutations the strategy returns.
 [[nodiscard]] PairOrder order_pairs(OrderingMode mode,
                                     std::span<const std::uint32_t> weights,
                                     std::span<const std::uint32_t> inputs,
-                                    DataFormat format);
+                                    DataFormat format, PairOrder reuse = {});
 
 /// The chain strategy's permutation before its arrival-order guard: the
 /// greedy nearest-neighbor Hamming-distance chain. The seed is the value

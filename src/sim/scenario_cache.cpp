@@ -298,7 +298,8 @@ bool decode_result_record(const std::string& line, DecodedRecord& out,
   }
   row.drained = drained == 1;
   row.sim.engine = static_cast<noc::SimEngine>(engine);
-  if (f.size() != kFixed + 8 * nlinks) {
+  // Bound nlinks before multiplying: 8 * nlinks wraps for nlinks >= 2^61.
+  if (nlinks > (f.size() - kFixed) / 8 || f.size() != kFixed + 8 * nlinks) {
     error = "link-row count disagrees with the field count";
     return false;
   }

@@ -28,89 +28,51 @@ namespace {
 struct PayloadBatch {
   std::vector<BitVec> flits;
   std::vector<std::uint32_t> packet_flits;
-
-  void add(std::vector<BitVec>&& packet) {
-    packet_flits.push_back(static_cast<std::uint32_t>(packet.size()));
-    flits.insert(flits.end(), std::make_move_iterator(packet.begin()),
-                 std::make_move_iterator(packet.end()));
-  }
 };
 
-/// Flitize one request under the given ordering mode: encode order, pack
-/// half-half (weights right, inputs left, no bias — pure traffic). The
-/// mode's registered OrderingStrategy supplies the permutation, so every
-/// strategy in the registry is sweepable through the campaign grid.
+/// Flitize one request under the given ordering mode: order_pairs gives
+/// the transmission order, pack_half_half packs it (weights right, inputs
+/// left, no bias — pure traffic). The mode's registered OrderingStrategy
+/// supplies the permutation, so every strategy in the registry is
+/// sweepable through the campaign grid. The pair order and the permuted
+/// windows live in per-thread scratch, so a request allocates only the
+/// permutations the strategy returns and its flits.
 std::vector<BitVec> build_payloads(const InjectionRequest& req,
-                                   DataFormat format,
-                                   const accel::FlitLayout& layout,
+                                   const ScenarioSpec& spec,
                                    ordering::OrderingMode mode) {
-  const std::span<const std::uint32_t> weights(req.weights);
-  const std::span<const std::uint32_t> inputs(req.inputs);
-  const ordering::PairOrder order =
-      ordering::order_pairs(mode, weights, inputs, format);
-  return accel::pack_half_half(
-      ordering::apply_permutation(inputs,
-                                  std::span<const std::uint32_t>(order.inputs)),
-      ordering::apply_permutation(
-          weights, std::span<const std::uint32_t>(order.weights)),
-      std::nullopt, layout);
+  thread_local ordering::PairOrder order;
+  thread_local std::vector<std::uint32_t> weights;
+  thread_local std::vector<std::uint32_t> inputs;
+  order = ordering::order_pairs(mode, req.weights, req.inputs, spec.format,
+                                std::move(order));
+  weights.resize(order.weights.size());
+  inputs.resize(order.inputs.size());
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    weights[k] = req.weights[order.weights[k]];
+    inputs[k] = req.inputs[order.inputs[k]];
+  }
+  const accel::FlitLayout layout{spec.values_per_flit, value_bits(spec.format)};
+  return accel::pack_half_half(inputs, weights, std::nullopt, layout);
 }
 
-/// Flitize the whole schedule for `mode` in one batched ordering pass:
-/// every request's windows are concatenated and scored through one
-/// OrderingStrategy::order_batch call (one BtKernelBackend pass per
-/// candidate ordering) instead of one-to-two kernel calls per request.
-/// Payloads are byte-identical to looping build_payloads — order_batch
-/// returns exactly what order() returns per window, and the equivalence
-/// suite pins it. Non-uniform window layouts take the per-request path.
-/// `flits` (the batch's flit count, known from the timing run) sizes the
-/// batch up front.
-PayloadBatch build_payload_batch(const SharedSchedule& sched,
-                                 DataFormat format,
-                                 const accel::FlitLayout& layout,
+/// Every request of `requests` flitized under `mode` by build_payloads.
+/// `flits` (the schedule's flit count, known from the timing run) sizes
+/// the batch up front.
+PayloadBatch build_payload_batch(const ScenarioSpec& spec,
+                                 const InjectionSchedule& requests,
                                  ordering::OrderingMode mode,
                                  std::size_t flits) {
-  const InjectionSchedule& reqs = sched.requests;
-  PayloadBatch payloads;
-  payloads.flits.reserve(flits);
-  payloads.packet_flits.reserve(reqs.size());
-  if (!reqs.empty()) {
-    const SharedSchedule::Derived& d = sched.derived();
-    if (d.uniform) {
-      const ordering::OrderingStrategy& strategy =
-          ordering::mode_strategy(mode);
-      const bool separated = ordering::mode_is_separated(mode);
-      const auto w_flat = strategy.order_batch(d.weights_concat, format,
-                                               d.window_values, d.weights_bt);
-      // Affiliated pairing reuses the weight permutation for the inputs.
-      const auto in_flat =
-          separated ? strategy.order_batch(d.inputs_concat, format,
-                                           d.window_values, d.inputs_bt)
-                    : std::vector<std::uint32_t>{};
-      std::vector<std::uint32_t> w_store;
-      std::vector<std::uint32_t> in_store;
-      std::size_t start = 0;
-      for (const InjectionRequest& req : reqs) {
-        const std::size_t len = req.weights.size();
-        w_store.resize(len);
-        in_store.resize(len);
-        const std::uint32_t* w_perm = w_flat.data() + start;
-        const std::uint32_t* in_perm =
-            (separated ? in_flat.data() : w_flat.data()) + start;
-        for (std::size_t k = 0; k < len; ++k) {
-          w_store[k] = req.weights[w_perm[k]];
-          in_store[k] = req.inputs[in_perm[k]];
-        }
-        payloads.add(
-            accel::pack_half_half(in_store, w_store, std::nullopt, layout));
-        start += len;
-      }
-      return payloads;
-    }
+  PayloadBatch batch;
+  batch.flits.reserve(flits);
+  batch.packet_flits.reserve(requests.size());
+  for (const InjectionRequest& req : requests) {
+    std::vector<BitVec> packet = build_payloads(req, spec, mode);
+    batch.packet_flits.push_back(static_cast<std::uint32_t>(packet.size()));
+    batch.flits.insert(batch.flits.end(),
+                       std::make_move_iterator(packet.begin()),
+                       std::make_move_iterator(packet.end()));
   }
-  for (const InjectionRequest& req : reqs)
-    payloads.add(build_payloads(req, format, layout, mode));
-  return payloads;
+  return batch;
 }
 
 InjectionSchedule generate_schedule(const ScenarioSpec& spec) {
@@ -204,16 +166,6 @@ struct SharedSchedule::TimingSet {
 
 namespace {
 
-/// Request `req`'s O0 payloads: arrival order, packed half-half. The
-/// timing run flitizes each request as it injects it, so only packets in
-/// flight hold payloads.
-std::vector<BitVec> baseline_payloads(const InjectionRequest& req,
-                                      const ScenarioSpec& spec) {
-  const accel::FlitLayout layout{spec.values_per_flit, value_bits(spec.format)};
-  return build_payloads(req, spec.format, layout,
-                        ordering::OrderingMode::kBaseline);
-}
-
 /// Drive a synthetic generator's schedule, carrying its O0 payloads,
 /// through a fresh network, and log every link's crossings into `log` once
 /// the network drains.
@@ -247,8 +199,10 @@ VariantOutcome run_traffic_variant(const ScenarioSpec& spec,
       net.advance_idle(pending->cycle - net.cycle());
     }
     while (pending && pending->cycle <= net.cycle()) {
+      // Flitized as injected, so only packets in flight hold payloads.
       net.inject(pending->src, pending->dst,
-                 baseline_payloads(*pending, spec));
+                 build_payloads(*pending, spec,
+                                ordering::OrderingMode::kBaseline));
       ++next_req;
       pending = next_req < schedule.size() ? &schedule[next_req] : nullptr;
     }
@@ -316,7 +270,8 @@ bool run_analytical_variant(const ScenarioSpec& spec,
                             std::string& why_not) {
   noc::AnalyticalEngine eng(spec.noc_config());
   for (const InjectionRequest& req : schedule)
-    eng.inject(req.cycle, req.src, req.dst, baseline_payloads(req, spec));
+    eng.inject(req.cycle, req.src, req.dst,
+               build_payloads(req, spec, ordering::OrderingMode::kBaseline));
   if (!eng.run()) {
     why_not = eng.contention_detail();
     return false;
@@ -393,10 +348,8 @@ VariantOutcome replay_ordered(const ScenarioSpec& spec,
                               const SharedSchedule::Timing& timing,
                               ScenarioResult& result) {
   noc::WallTimer timer;
-  const accel::FlitLayout layout{spec.values_per_flit, value_bits(spec.format)};
-  const PayloadBatch payloads =
-      build_payload_batch(schedule, spec.format, layout, spec.mode,
-                          timing.o0.flits);
+  const PayloadBatch payloads = build_payload_batch(
+      spec, schedule.requests, spec.mode, timing.o0.flits);
   result.wall_ms_order = timer.millis();
   timer.restart();
   VariantOutcome out = replay(spec, payloads, timing);
@@ -410,13 +363,12 @@ SharedSchedule::TimingPtr replay_baseline(const ScenarioSpec& spec,
                                           const SharedSchedule& schedule,
                                           const SharedSchedule::Timing& run,
                                           std::uint64_t payloads) {
-  PayloadBatch batch;
-  batch.flits.reserve(run.o0.flits);
-  batch.packet_flits.reserve(schedule.requests.size());
-  for (const InjectionRequest& req : schedule.requests)
-    batch.add(baseline_payloads(req, spec));
   auto view = std::make_shared<SharedSchedule::Timing>(run);
-  view->o0 = replay(spec, batch, run);
+  view->o0 = replay(spec,
+                    build_payload_batch(spec, schedule.requests,
+                                        ordering::OrderingMode::kBaseline,
+                                        run.o0.flits),
+                    run);
   view->payloads = payloads;
   return view;
 }

@@ -43,16 +43,12 @@ class ScenarioCache;  // sim/scenario_cache.h
 /// cycle) replays. Immutable once built, so workers share it freely.
 using InjectionSchedule = std::vector<InjectionRequest>;
 
-/// A materialized schedule plus the derived inputs of batched payload
-/// ordering: the per-stream value concatenations and arrival-order
-/// sequence-BT hints that let one OrderingStrategy::order_batch call (one
-/// kernel pass per candidate ordering) score every window of the
-/// scenario. The request list is immutable after materialization; the
-/// derived block is built lazily on the first ordered variant and then
+/// A materialized schedule: the request list, immutable once built and
 /// shared, through the campaign ScheduleCache, across every mode row of a
-/// traffic stream. Timing runs are shared wider, through the schedule's
-/// TimingSet: every schedule whose packets the network sees identically,
-/// whatever their payload format.
+/// traffic stream. Each row orders and flitizes the requests one at a time
+/// (ordering::order_pairs per request). Timing runs are shared wider,
+/// through the schedule's TimingSet: every schedule whose packets the
+/// network sees identically, whatever their payload format.
 struct SharedSchedule {
   struct Timing;     ///< one network run; defined in scenario_runner.cpp
   struct TimingSet;  ///< the runs of one packet fingerprint; ditto
@@ -67,17 +63,19 @@ struct SharedSchedule {
   InjectionSchedule requests;
   DataFormat format;  ///< the format of the requests' payload values
 
+  /// The schedule's windows concatenated, with their arrival-order
+  /// sequence BTs: the inputs of the benchmark's traced replay
+  /// (e2ebench/e2e_campaign.cpp), which reads them through derived(). The
+  /// runner itself orders request by request and never builds them.
   struct Derived {
     /// True when every request carries equally-sized weight/input windows
     /// (the last may be ragged), i.e. the concatenations below form a
-    /// valid order_batch layout. False routes through the per-request
-    /// ordering path with identical results.
+    /// valid order_batch layout.
     bool uniform = false;
     std::size_t window_values = 0;
     std::vector<std::uint32_t> weights_concat;
     std::vector<std::uint32_t> inputs_concat;
-    /// Arrival-order sequence BT per window — the order_batch hint that
-    /// chain-class strategies would otherwise recompute per mode row.
+    /// Arrival-order sequence BT per window.
     std::vector<std::uint64_t> weights_bt;
     std::vector<std::uint64_t> inputs_bt;
   };
@@ -137,15 +135,15 @@ using SharedSchedulePtr = std::shared_ptr<const SharedSchedule>;
 
 /// Campaign-scoped schedule store: grid points that share every
 /// payload-relevant knob (all mode rows of one traffic stream — expand()
-/// derives their seeds mode-independently) generate their schedule once,
-/// and with it the SharedSchedule::Derived ordering inputs. Thread-safe;
-/// the first worker to request a key materializes it while later workers
-/// block on the shared future. An entry is dropped once its key has seen
-/// all its lookups — get() or release() calls: `uses_per_key` of them
-/// (one per mode row), or the count expect() set for the key — to bound
-/// campaign memory, and — when `max_entries` is non-zero — the least
-/// recently used entry is dropped to make room for a new key beyond that
-/// many (expect() counts are for stores without that bound). A dropped
+/// derives their seeds mode-independently) generate their schedule once.
+/// Thread-safe; the first worker to request a key materializes it while
+/// later workers block on the shared future. An entry is dropped once its
+/// key has seen all its lookups — get() or release() calls:
+/// `uses_per_key` of them (one per mode row), or the count expect() set
+/// for the key — to bound campaign memory, and — when `max_entries` is
+/// non-zero — the least recently used entry is dropped to make room for
+/// a new key beyond that many (expect() counts are for stores without
+/// that bound). A dropped
 /// schedule lives on while a caller still holds it; a later lookup of its
 /// key rebuilds it.
 ///
@@ -232,10 +230,9 @@ struct SingleRunOutcome {
 /// run_single_scenario through a content-addressed ScenarioCache (may be
 /// null — then it always simulates). On a miss the fresh row is stored
 /// back, so co-optimizer searches and campaign sweeps share hits.
-/// `schedules` (may be null) shares materialized schedules and their
-/// derived batched-ordering inputs across calls — opt::Evaluator passes
-/// its own so candidates differing only in ordering mode reuse one
-/// schedule and one set of arrival-BT hints.
+/// `schedules` (may be null) shares materialized schedules across calls —
+/// opt::Evaluator passes its own so candidates differing only in ordering
+/// mode reuse one schedule and its timing run.
 [[nodiscard]] SingleRunOutcome run_single_scenario_cached(
     const CampaignSpec& spec, ScenarioCache* cache,
     ScheduleCache* schedules = nullptr);

@@ -359,10 +359,11 @@ TEST(StrategyDifferential, OrderStreamWithPopcountMatchesLegacyStreamSort) {
 }
 
 TEST(StrategyBatch, OrderBatchEqualsLoopedOrderForEveryStrategy) {
-  // order_batch is the seam the scenario runner flitizes through: for
-  // every registered strategy the concatenated window-local permutations
-  // must equal looping order() window by window — including the ragged
-  // tail, with and without the arrival-BT hint, on tie-heavy data where a
+  // order_batch is what the benchmark's traced replay orders through, so
+  // it must stay interchangeable with the per-request path: for every
+  // registered strategy the concatenated window-local permutations must
+  // equal looping order() window by window — including the ragged tail,
+  // with and without the arrival-BT hint, on tie-heavy data where a
   // scoring discrepancy would flip the chosen candidate.
   for (const OrderingStrategy* strategy : registered_strategies()) {
     for (const DataFormat format :
